@@ -1,7 +1,8 @@
 """Command-line front-end: expansions, verification suites, and tables.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage error (bad flags, incompatible method/relation, unreadable input).
+2 usage error (bad flags, incompatible method/relation, unreadable or
+malformed input).
 All randomized suites take an explicit seed so output is reproducible
 byte for byte.
 """

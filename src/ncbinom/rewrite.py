@@ -12,11 +12,17 @@ transposition (the word's inversion count drops by one at an unchanged
 letter multiset), or its multiset of non-central letters is strictly smaller
 (a letter vanishes or is replaced by strictly earlier ones), which is
 well-founded in the Dershowitz-Manna multiset order.
+
+The default reducer multiplies in the quotient: it pushes one letter at a
+time into an already-normal word, memoizing nf(letter * word) for the length
+of one call.  The worklist reducer ("leftmost"/"rightmost") rewrites whole
+words redex by redex and stays as the independent oracle.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -37,7 +43,21 @@ class InvalidSystemError(RewriteError):
 
 
 class BudgetExceededError(RewriteError):
-    """The rule-application budget ran out; the system is likely pathological."""
+    """The rule-application budget ran out before the normal form was reached.
+
+    Validated systems terminate, so this means the input needs a larger
+    budget, not that the rules loop.
+    """
+
+
+class MalformedSystemError(RewriteError, ValueError):
+    """A system document does not follow the ``load_system`` schema."""
+
+
+def _budget_exceeded(budget: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"budget of {budget} rule applications too small for this input"
+    )
 
 
 @dataclass
@@ -175,18 +195,30 @@ class RelationSystem:
                 return i
         return None
 
-    def normal_form(self, p: NCPoly, budget: int = DEFAULT_BUDGET,
-                    strategy: str = "leftmost") -> NCPoly:
-        """Rewrite to the ordered-monomial normal form.
-
-        ``strategy`` picks which redex each step reduces ("leftmost" or
-        "rightmost"); for confluent systems the result is the same.
-        """
+    def _check_input(self, p: NCPoly) -> None:
         report = self.validate()
         if not report.ok:
             raise InvalidSystemError("; ".join(report.violations))
         if p.algebra != self.algebra:
             raise ContextMismatchError("polynomial belongs to a different context")
+
+    def normal_form(self, p: NCPoly, budget: int = DEFAULT_BUDGET,
+                    strategy: str = "memo") -> NCPoly:
+        """Rewrite to the ordered-monomial normal form.
+
+        ``strategy`` picks the reducer: "memo" (the default) folds each word
+        into its longest normal suffix one letter at a time with memoized
+        letter pushes, sharing the work between words with a common prefix;
+        "leftmost" and "rightmost" run the worklist, reducing that redex of
+        each word per step.  For confluent systems all three agree.
+        ``budget`` bounds the rule applications performed: the worklist
+        counts every step, central swaps included; the memoized reducer
+        counts each rule it applies to a new (letter, word) pair.
+        """
+        self._check_input(p)
+        if strategy == "memo":
+            reducer = _Reducer(self, budget)
+            return reducer.decode(reducer.reduce(p))
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -201,10 +233,7 @@ class RelationSystem:
                 continue
             steps += 1
             if steps > budget:
-                raise BudgetExceededError(
-                    f"exceeded {budget} rule applications; "
-                    "system looks non-terminating"
-                )
+                raise _budget_exceeded(budget)
             left, right = word[:i], word[i + 2:]
             x, y = word[i], word[i + 1]
             if x.central or y.central:
@@ -215,6 +244,29 @@ class RelationSystem:
                 work.append((left + rword + right, coeff * rcoeff))
         return NCPoly(self.algebra, acc)
 
+    def power(self, p: NCPoly, n: int, budget: int = DEFAULT_BUDGET) -> NCPoly:
+        """The normal form of ``p ** n``, built as nf(p * nf(p^(n-1))).
+
+        Only normal words are ever multiplied, so the free expansion of
+        ``p ** n`` is never formed.  One memo serves all n steps.
+        """
+        self._check_input(p)
+        if n < 0:
+            raise ValueError("negative powers are not defined")
+        reducer = _Reducer(self, budget)
+        factor = [
+            (reducer.encode(word), _unit(coeff)) for word, coeff in p.terms.items()
+        ]
+        result: dict[tuple[int, ...], ParamPoly] = {(): _ONE}
+        for _ in range(n):
+            product: dict[tuple[int, ...], ParamPoly] = {}
+            for word, coeff in factor:
+                start = {u: _times(coeff, c) for u, c in result.items()}
+                for u, c in reducer.fold(word, start).items():
+                    _add(product, u, c)
+            result = product
+        return reducer.decode(result)
+
     def quotient_eq(self, p: NCPoly, q: NCPoly, budget: int = DEFAULT_BUDGET) -> bool:
         """Equality in the quotient algebra: identical normal forms."""
         return self.normal_form(p, budget) == self.normal_form(q, budget)
@@ -222,6 +274,187 @@ class RelationSystem:
     def __repr__(self):
         label = self.name or "user"
         return f"RelationSystem({label}, {len(self.rules)} rules)"
+
+
+# The multiplicative unit, shared so that the reducer can skip products by 1.
+_ONE = ParamPoly.one()
+
+
+def _unit(coeff: ParamPoly) -> ParamPoly:
+    return _ONE if coeff == _ONE else coeff
+
+
+def _times(a: ParamPoly, b: ParamPoly) -> ParamPoly:
+    if a is _ONE:
+        return b
+    if b is _ONE:
+        return a
+    return a * b
+
+
+def _add(acc: dict, word, coeff: ParamPoly) -> None:
+    """acc[word] += coeff, dropping the entry if it cancels."""
+    if word in acc:
+        total = acc[word] + coeff
+        if total:
+            acc[word] = total
+        else:
+            del acc[word]
+    else:
+        acc[word] = coeff
+
+
+class _Reducer:
+    """Memoized normal forms for one call of ``normal_form`` or ``power``.
+
+    Words are tuples of alphabet positions, so a word is normal iff it is
+    non-decreasing, and the central letters are the positions below
+    ``n_central``.  Central letters are moved into place without rules or
+    memo entries.  ``memo[(g, u)]`` holds nf(g * u) for a non-central letter
+    g and a normal word u free of central letters with u[0] < g; every entry
+    is one rule application against the budget.
+    """
+
+    def __init__(self, system: RelationSystem, budget: int):
+        self.system = system
+        self.rank = [system.position(g) for g in system.algebra.generators]
+        self.n_central = sum(1 for g in system.alphabet if g.central)
+        self.replacements: dict[tuple[int, int], list] = {}
+        self.budget = budget
+        self.steps = 0
+        self.memo: dict[tuple[int, tuple[int, ...]], dict] = {}
+
+    def encode(self, word: Word) -> tuple[int, ...]:
+        rank = self.rank
+        return tuple(rank[g.index] for g in word)
+
+    def decode(self, terms: dict) -> NCPoly:
+        alphabet = self.system.alphabet
+        return NCPoly(
+            self.system.algebra,
+            {tuple(alphabet[i] for i in word): c for word, c in terms.items()},
+        )
+
+    def reduce(self, p: NCPoly) -> dict:
+        """nf(p), folding words that share a prefix together.
+
+        Each word splits into its longest normal suffix and the prefix
+        before it, so an already normal word costs one scan.  Suffixes are
+        gathered under their prefix, and the prefixes are folded one letter
+        at a time, longest first, each into the merged normal form of all
+        words below it.
+        """
+        acc: dict[tuple[int, ...], ParamPoly] = {}
+        levels: list[dict] = [{(): acc}]  # levels[d][prefix of length d]
+        for word, coeff in p.terms.items():
+            word = self.encode(word)
+            cut = len(word) - 1
+            while cut > 0 and word[cut - 1] <= word[cut]:
+                cut -= 1
+            if cut <= 0:
+                _add(acc, word, coeff)
+                continue
+            while len(levels) <= cut:
+                levels.append({})
+            _add(levels[cut].setdefault(word[:cut], {}), word[cut:], _unit(coeff))
+        self._run(self._fold_prefixes(levels))
+        return acc
+
+    def fold(self, letters: tuple[int, ...], terms: dict) -> dict:
+        """nf(letters * terms) for normal ``terms``, pushing the last letter first."""
+        return self._run(self._fold(letters, terms))
+
+    def _fold_prefixes(self, levels: list[dict]):
+        while len(levels) > 1:
+            level = levels.pop()
+            parents = levels[-1]
+            for prefix, terms in level.items():
+                parent = parents.setdefault(prefix[:-1], {})
+                folded = yield from self._fold(prefix[-1:], terms)
+                for u, c in folded.items():
+                    _add(parent, u, c)
+
+    def _run(self, task):
+        """Run a generator that yields the (letter, word) pushes it needs.
+
+        Pushes that miss the memo run as generators too, on an explicit
+        stack: each yields what it needs and receives its normal form, so
+        the Python stack depth does not grow with the word length.
+        """
+        memo = self.memo
+        stack = [(None, task)]
+        value = None
+        while True:
+            key, task = stack[-1]
+            try:
+                need = task.send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = memo[key] = done.value
+                continue
+            value = memo.get(need)
+            if value is None:
+                self.steps += 1
+                if self.steps > self.budget:
+                    raise _budget_exceeded(self.budget)
+                stack.append((need, self._push(*need)))
+
+    def _fold(self, letters: tuple[int, ...], terms: dict):
+        memo = self.memo
+        n_central = self.n_central
+        for g in reversed(letters):
+            pushed: dict[tuple[int, ...], ParamPoly] = {}
+            for w, c in terms.items():
+                if not w or g <= w[0]:
+                    _add(pushed, (g,) + w, c)
+                    continue
+                if g < n_central:
+                    # central letters commute with everything: insert in order
+                    i = bisect_right(w, g)
+                    _add(pushed, w[:i] + (g,) + w[i:], c)
+                    continue
+                # g commutes past the central prefix; only the rest is rewritten
+                k = bisect_left(w, n_central)
+                head, u = w[:k], w[k:]
+                if not u or g <= u[0]:
+                    _add(pushed, head + (g,) + u, c)
+                    continue
+                value = memo.get((g, u))
+                if value is None:
+                    value = yield (g, u)
+                for r, cr in value.items():
+                    if head:
+                        # merge the prefix with any central letters r starts with
+                        central = r and r[0] < n_central
+                        r = tuple(sorted(head + r)) if central else head + r
+                    _add(pushed, r, _times(c, cr))
+            terms = pushed
+        return terms
+
+    def _push(self, g: int, u: tuple[int, ...]):
+        """nf(g * u) for a non-central u[0] < g.
+
+        Applies the rule for the pair (g, u[0]) and folds each replacement
+        term into u[1:].
+        """
+        out: dict[tuple[int, ...], ParamPoly] = {}
+        for v, cv in self._replacement(g, u[0]):
+            terms = yield from self._fold(v, {u[1:]: cv})
+            for r, c in terms.items():
+                _add(out, r, c)
+        return out
+
+    def _replacement(self, later: int, earlier: int) -> list:
+        key = (later, earlier)
+        if key not in self.replacements:
+            alphabet = self.system.alphabet
+            rule = self.system.rules[(alphabet[later].name, alphabet[earlier].name)]
+            self.replacements[key] = [
+                (self.encode(word), _unit(coeff)) for word, coeff in rule.terms.items()
+            ]
+        return self.replacements[key]
 
 
 def _word_name(word: Word) -> str:
@@ -253,6 +486,14 @@ def make_family(family: str) -> RelationSystem:
     return RelationSystem(alg, rules, name=family, builtin=True)
 
 
+def _require(entry, key: str, where: str = ""):
+    """``entry[key]``, or a schema error that names the missing key."""
+    if not isinstance(entry, dict) or key not in entry:
+        prefix = f"{where} " if where else ""
+        raise MalformedSystemError(f'malformed system file: {prefix}missing "{key}"')
+    return entry[key]
+
+
 def load_system(source) -> RelationSystem:
     """Load a user-defined system from a JSON document, file path, or dict.
 
@@ -260,17 +501,36 @@ def load_system(source) -> RelationSystem:
 
         {"alphabet": [{"name": "C", "central": true}, ...],
          "rules": [{"pair": ["B", "A"], "replacement": <NCPoly JSON>}]}
+
+    A document that breaks the schema raises ``MalformedSystemError``
+    naming the missing key.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     else:
         doc = source
-    names = [entry["name"] for entry in doc["alphabet"]]
-    central = tuple(e["name"] for e in doc["alphabet"] if e.get("central", False))
-    algebra = Algebra(*names, central=central)
+    alphabet = [
+        (_require(entry, "name", f"alphabet entry {i}"), entry.get("central", False))
+        for i, entry in enumerate(_require(doc, "alphabet"))
+    ]
+    algebra = Algebra(
+        *(name for name, _ in alphabet),
+        central=tuple(name for name, central in alphabet if central),
+    )
     rules = {}
-    for entry in doc.get("rules", []):
-        later, earlier = entry["pair"]
-        rules[(later, earlier)] = NCPoly.from_json(algebra, entry["replacement"])
+    for i, entry in enumerate(doc.get("rules", [])):
+        where = f"rules entry {i}"
+        pair = _require(entry, "pair", where)
+        replacement = _require(entry, "replacement", where)
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise MalformedSystemError(
+                f'malformed system file: {where} "pair" must name two generators'
+            )
+        try:
+            rules[tuple(pair)] = NCPoly.from_json(algebra, replacement)
+        except KeyError as exc:
+            raise MalformedSystemError(
+                f'malformed system file: {where} replacement missing "{exc.args[0]}"'
+            ) from None
     return RelationSystem(algebra, rules, name=None, builtin=False)

@@ -67,14 +67,19 @@ def random_ncpoly(rng: random.Random, algebra: Algebra,
 
 def strategy_agreement(family: str, cases: int = RANDOM_CASES,
                        max_degree: int = 6, seed: int = 0) -> CheckResult:
-    """Reduction-order independence plus idempotence on random inputs."""
+    """Reducer independence plus idempotence on random inputs.
+
+    The default memoized reducer must agree with the leftmost and the
+    rightmost worklist reduction, and a normal form must reduce to itself.
+    """
     rng = random.Random(seed)
     system = make_family(family)
     for _ in range(cases):
         p = random_ncpoly(rng, system.algebra, max_degree=max_degree)
+        memo = system.normal_form(p)
         left = system.normal_form(p, strategy="leftmost")
         right = system.normal_form(p, strategy="rightmost")
-        if left != right or system.normal_form(left) != left:
+        if memo != left or left != right or system.normal_form(left) != left:
             return CheckResult(
                 f"{family}-strategy-agreement", False,
                 f"{cases} random polynomials, degree <= {max_degree}",

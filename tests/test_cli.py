@@ -197,3 +197,21 @@ def test_missing_relation_file(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_expand_closed_hsq_past_old_budget(capsys):
+    code, out, err = run(capsys, "expand", "--n", "10", "--method", "closed_hsq")
+    assert code == 0
+    assert out.endswith("| oracle_match: true\n")
+    assert err == ""
+
+
+def test_malformed_relation_file(capsys, tmp_path):
+    path = tmp_path / "no_alphabet.json"
+    path.write_text(json.dumps({"rules": []}))
+    code, out, err = run(
+        capsys, "expand", "--n", "2", "--method", "brute", "--relation", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == 'error: malformed system file: missing "alphabet"\n'

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from ncbinom.freealg import Algebra, ContextMismatchError
+from ncbinom.binomial import closed_form_hsq, closed_form_weyl
 from ncbinom.rewrite import (
     BudgetExceededError,
     InvalidSystemError,
+    MalformedSystemError,
     RelationSystem,
     load_system,
     make_family,
@@ -192,3 +194,137 @@ def test_load_system_from_dict_and_file(tmp_path):
     from_file = load_system(str(path))
     assert from_file.normal_form(from_file.algebra.gen("B") * from_file.algebra.gen("A")) \
         == system.normal_form(b * a)
+
+
+# The README example system (BA -> AB + 2C, C central), inlined.
+USER_SYSTEM = {
+    "alphabet": [
+        {"name": "A"},
+        {"name": "B"},
+        {"name": "C", "central": True},
+    ],
+    "rules": [
+        {
+            "pair": ["B", "A"],
+            "replacement": {
+                "terms": [
+                    {"coeff": "1", "word": ["A", "B"]},
+                    {"coeff": "2", "word": ["C"]},
+                ]
+            },
+        }
+    ],
+}
+
+
+def _systems():
+    return [make_family(f) for f in ("commutative", "hsq", "weyl")] + [
+        load_system(USER_SYSTEM)
+    ]
+
+
+def _sl2():
+    """U(sl2) in the order F < H < E: [E, F] = H, [H, E] = 2E, [H, F] = -2F."""
+    alg = Algebra("F", "H", "E")
+    f, h, e = (alg.gen(name) for name in "FHE")
+    return RelationSystem(alg, {
+        ("H", "F"): f * h - 2 * f,
+        ("E", "F"): f * e + h,
+        ("E", "H"): h * e - 2 * e,
+    })
+
+
+def _three_centrals():
+    """Three central letters, the rule producing two: BA -> AB + 2D - C."""
+    alg = Algebra("C", "D", "E", "A", "B", central=("C", "D", "E"))
+    a, b, c, d = (alg.gen(name) for name in "ABCD")
+    return RelationSystem(alg, {("B", "A"): a * b + 2 * d - c})
+
+
+def test_memo_reducer_matches_worklist_on_random_inputs():
+    rng = random.Random(17)
+    for system in _systems() + [_sl2(), _three_centrals()]:
+        for _ in range(80):
+            p = random_ncpoly(rng, system.algebra, max_degree=6, max_terms=5)
+            memo = system.normal_form(p)
+            assert memo == system.normal_form(p, strategy="leftmost")
+            assert memo == system.normal_form(p, strategy="rightmost")
+
+
+def test_power_matches_normal_form_of_free_power():
+    for system in _systems():
+        a, b = system.gen("A"), system.gen("B")
+        for n in range(9):
+            quotient = system.power(a + b, n)
+            assert quotient == system.normal_form((a + b) ** n)
+            if n <= 6:
+                leftmost = system.normal_form((a + b) ** n, strategy="leftmost")
+                assert quotient == leftmost
+
+
+def test_power_of_non_normal_polynomial():
+    weyl = make_family("weyl")
+    a, b, c = (weyl.gen(name) for name in "ABC")
+    p = b * a - 2 * c * b + a
+    for n in range(5):
+        assert weyl.power(p, n) == weyl.normal_form(p ** n, strategy="rightmost")
+    with pytest.raises(ValueError):
+        weyl.power(p, -1)
+
+
+def test_closed_forms_match_power_at_24():
+    hsq = make_family("hsq")
+    a, b = hsq.gen("A"), hsq.gen("B")
+    assert hsq.normal_form(closed_form_hsq(24, hsq.algebra)) == hsq.power(a + b, 24)
+
+    weyl = make_family("weyl")
+    wa, wb = weyl.gen("A"), weyl.gen("B")
+    closed = weyl.normal_form(closed_form_weyl(24, weyl.algebra))
+    assert closed == weyl.power(wa + wb, 24)
+
+
+def test_long_word_does_not_deepen_the_stack():
+    # B*A^1000 leaves 1000 pushes pending at once, deeper than Python's
+    # default recursion limit.  Under weyl the worklist needs about 5*10^5
+    # central swaps here (minutes), so that result is checked against
+    # [B, A^n] = n*C*A^(n-1); under hsq the worklist is quick enough to
+    # serve as the oracle itself.
+    weyl = make_family("weyl")
+    a, b, c = (weyl.gen(name) for name in "ABC")
+    assert weyl.normal_form(b * a ** 1000) == a ** 1000 * b + 1000 * c * a ** 999
+
+    hsq = make_family("hsq")
+    a, b = hsq.gen("A"), hsq.gen("B")
+    word = b * a ** 1000
+    assert hsq.normal_form(word) == hsq.normal_form(word, strategy="leftmost")
+
+
+def test_budget_message_names_the_budget():
+    hsq = make_family("hsq")
+    a, b = hsq.algebra.gen("A"), hsq.algebra.gen("B")
+    for strategy in ("memo", "leftmost", "rightmost"):
+        with pytest.raises(BudgetExceededError) as info:
+            hsq.normal_form(b ** 3 * a ** 3, budget=2, strategy=strategy)
+        assert str(info.value) == (
+            "budget of 2 rule applications too small for this input"
+        )
+    with pytest.raises(BudgetExceededError):
+        hsq.power(a + b, 6, budget=3)
+
+
+def test_malformed_system_names_the_missing_key():
+    cases = [
+        ({"rules": []}, 'missing "alphabet"'),
+        ({"alphabet": [{"central": True}]}, 'alphabet entry 0 missing "name"'),
+        ({"alphabet": [{"name": "A"}], "rules": [{"replacement": {}}]},
+         'rules entry 0 missing "pair"'),
+        ({"alphabet": [{"name": "A"}, {"name": "B"}],
+          "rules": [{"pair": ["B", "A"], "replacement": {}}]},
+         'rules entry 0 replacement missing "terms"'),
+        ({"alphabet": [{"name": "A"}], "rules": [{"pair": "BA", "replacement": {}}]},
+         'rules entry 0 "pair" must name two generators'),
+    ]
+    for doc, message in cases:
+        with pytest.raises(MalformedSystemError) as info:
+            load_system(doc)
+        assert str(info.value) == f"malformed system file: {message}"
