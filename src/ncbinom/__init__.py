@@ -20,8 +20,6 @@ from .binomial import (
     gamma_factor,
     m_basis,
     m_derivation_expand,
-    m_power_defect,
-    m_product_defect,
     resolve_relation,
     twisted_expand,
     weyl_coefficient,
@@ -33,11 +31,7 @@ from .diffop import (
     Poly1,
     hermite,
     lambda_expansion,
-    lambda_power_apply,
-    m_realization,
     realize,
-    weyl_realization_check,
-    x2d_check,
 )
 from .freealg import (
     Algebra,
@@ -63,7 +57,6 @@ from .rewrite import (
 )
 from .scalars import (
     ParamPoly,
-    Rational,
     UnboundParameterError,
     binom,
     factorial,
@@ -86,8 +79,6 @@ __all__ = [
     "gamma_factor",
     "m_basis",
     "m_derivation_expand",
-    "m_power_defect",
-    "m_product_defect",
     "resolve_relation",
     "twisted_expand",
     "weyl_coefficient",
@@ -97,11 +88,7 @@ __all__ = [
     "Poly1",
     "hermite",
     "lambda_expansion",
-    "lambda_power_apply",
-    "m_realization",
     "realize",
-    "weyl_realization_check",
-    "x2d_check",
     "Algebra",
     "ContextMismatchError",
     "Generator",
@@ -121,7 +108,6 @@ __all__ = [
     "load_system",
     "make_family",
     "ParamPoly",
-    "Rational",
     "UnboundParameterError",
     "binom",
     "factorial",

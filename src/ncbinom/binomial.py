@@ -120,23 +120,6 @@ def m_derivation_expand(n: int, algebra: Algebra | None = None) -> NCPoly:
     return total
 
 
-def m_product_defect(n: int, algebra: Algebra | None = None) -> NCPoly:
-    """M_1 * M_n - M_{n+1} - d_B(M_n); identically zero."""
-    algebra, a, b = _ab(algebra)
-    m_n = m_basis(n, algebra)
-    return m_basis(1, algebra) * m_n - m_basis(n + 1, algebra) - commutator(b, m_n)
-
-
-def m_power_defect(n: int, algebra: Algebra | None = None) -> NCPoly:
-    """M_1^n - M_n - sum_{k<=n-2} M_1^k d_B(M_{n-1-k}); identically zero."""
-    algebra, a, b = _ab(algebra)
-    m_1 = m_basis(1, algebra)
-    total = m_1 ** n - m_basis(n, algebra)
-    for k in range(n - 1):
-        total = total - m_1 ** k * commutator(b, m_basis(n - 1 - k, algebra))
-    return total
-
-
 def gamma_factor(n: int) -> ParamPoly:
     """The product (1+h)(1+2h)...(1+(n-1)h); empty product for n <= 1.
 

@@ -13,31 +13,31 @@ commutator [B, A] = lam, and B = x^2*D gives [B, A] = A^2.  Iterating
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
-from .binomial import closed_form_hsq, closed_form_weyl, m_basis
 from .freealg import NCPoly
-from .scalars import ParamPoly, factorial
+from .scalars import ParamPoly, _add_term, _Sparse, factorial
 
 HERMITE_PATHS = ("operator", "explicit_sum", "recurrence_oracle")
 
 
-def _coeff(value) -> ParamPoly:
-    return value if isinstance(value, ParamPoly) else ParamPoly.const(value)
+class Poly1(_Sparse):
+    """Sparse polynomial in x: map degree -> ParamPoly, no zero entries.
 
+    Rendered in descending degree, e.g. ``x^3 - 3*x``.
+    """
 
-class Poly1:
-    """Sparse polynomial in x: map degree -> ParamPoly, no zero entries."""
+    __slots__ = ()
 
-    __slots__ = ("coeffs",)
+    _UNIT = 0
+    _key = staticmethod(int)
+    _key_mul = staticmethod(operator.add)
+    _order = staticmethod(operator.neg)
 
-    def __init__(self, coeffs: dict[int, ParamPoly] | None = None):
-        pruned: dict[int, ParamPoly] = {}
-        for degree, value in (coeffs or {}).items():
-            value = _coeff(value)
-            if not value.is_zero():
-                pruned[int(degree)] = value
-        self.coeffs = pruned
+    @staticmethod
+    def _key_text(degree: int) -> str:
+        return "x" if degree == 1 else f"x^{degree}"
 
     @classmethod
     def zero(cls) -> Poly1:
@@ -45,115 +45,20 @@ class Poly1:
 
     @classmethod
     def one(cls) -> Poly1:
-        return cls({0: ParamPoly.one()})
+        return cls({0: 1})
 
     @classmethod
     def x_power(cls, n: int) -> Poly1:
-        return cls({n: ParamPoly.one()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return cls({n: 1})
 
     def degree(self) -> int | None:
-        return max(self.coeffs) if self.coeffs else None
+        return max(self.terms) if self.terms else None
 
     def coefficient(self, degree: int) -> ParamPoly:
-        return self.coeffs.get(degree, ParamPoly.zero())
-
-    def _lift(self, other) -> Poly1 | None:
-        if isinstance(other, Poly1):
-            return other
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            return Poly1({0: _coeff(other)})
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        coeffs = dict(self.coeffs)
-        for degree, value in other.coeffs.items():
-            coeffs[degree] = coeffs.get(degree, ParamPoly.zero()) + value
-        return Poly1(coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly1({d: -v for d, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        coeffs: dict[int, ParamPoly] = {}
-        for d1, v1 in self.coeffs.items():
-            for d2, v2 in other.coeffs.items():
-                degree = d1 + d2
-                coeffs[degree] = coeffs.get(degree, ParamPoly.zero()) + v1 * v2
-        return Poly1(coeffs)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def substitute(self, bindings: dict) -> Poly1:
-        return Poly1({d: v.substitute(bindings) for d, v in self.coeffs.items()})
-
-    def text(self) -> str:
-        """Descending-degree rendering, e.g. ``x^3 - 3*x``."""
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for i, degree in enumerate(sorted(self.coeffs, reverse=True)):
-            value = self.coeffs[degree]
-            body, negative = self._term_text(degree, value)
-            if i == 0:
-                pieces.append("-" + body if negative else body)
-            else:
-                pieces.append((" - " if negative else " + ") + body)
-        return "".join(pieces)
-
-    @staticmethod
-    def _term_text(degree: int, value: ParamPoly) -> tuple[str, bool]:
-        monomial = "" if degree == 0 else ("x" if degree == 1 else f"x^{degree}")
-        terms = value.terms
-        if len(terms) > 1:
-            return (f"({value.text()})" + (f"*{monomial}" if monomial else ""), False)
-        ((_, number),) = terms.items()
-        negative = number < 0
-        shown = -value if negative else value
-        if not monomial:
-            return shown.text(), negative
-        if shown == 1:
-            return monomial, negative
-        return f"{shown.text()}*{monomial}", negative
+        return self.terms.get(degree, ParamPoly.zero())
 
     def to_json(self) -> dict:
-        return {
-            "coeffs": {
-                str(d): self.coeffs[d].text()
-                for d in sorted(self.coeffs, reverse=True)
-            }
-        }
+        return {"coeffs": {str(d): c.text() for d, c in self.canonical_terms()}}
 
     @classmethod
     def from_json(cls, doc: dict) -> Poly1:
@@ -161,14 +66,8 @@ class Poly1:
             {int(d): ParamPoly.from_text(t) for d, t in doc["coeffs"].items()}
         )
 
-    def __str__(self):
-        return self.text()
 
-    def __repr__(self):
-        return f"Poly1({self.text()})"
-
-
-class DiffOp:
+class DiffOp(_Sparse):
     """Normal-ordered operator: sparse map (a, b) -> coefficient of x^a D^b.
 
     Composition re-normalizes immediately through D^b x^a =
@@ -176,15 +75,27 @@ class DiffOp:
     unique and equality is structural.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict[tuple[int, int], ParamPoly] | None = None):
-        pruned: dict[tuple[int, int], ParamPoly] = {}
-        for key, value in (terms or {}).items():
-            value = _coeff(value)
-            if not value.is_zero():
-                pruned[(int(key[0]), int(key[1]))] = value
-        self.terms = pruned
+    _UNIT = (0, 0)
+
+    @staticmethod
+    def _key(key) -> tuple[int, int]:
+        return (int(key[0]), int(key[1]))
+
+    @staticmethod
+    def _order(key: tuple[int, int]):
+        return (key[0] + key[1], key)
+
+    @staticmethod
+    def _key_text(key: tuple[int, int]) -> str:
+        a, b = key
+        factors = []
+        if a:
+            factors.append("x" if a == 1 else f"x^{a}")
+        if b:
+            factors.append("D" if b == 1 else f"D^{b}")
+        return "*".join(factors)
 
     @classmethod
     def zero(cls) -> DiffOp:
@@ -192,11 +103,11 @@ class DiffOp:
 
     @classmethod
     def identity(cls) -> DiffOp:
-        return cls({(0, 0): ParamPoly.one()})
+        return cls({(0, 0): 1})
 
     @classmethod
     def term(cls, xpow: int, dpow: int, coeff=1) -> DiffOp:
-        return cls({(xpow, dpow): _coeff(coeff)})
+        return cls({(xpow, dpow): coeff})
 
     @classmethod
     def x(cls, power: int = 1) -> DiffOp:
@@ -206,39 +117,6 @@ class DiffOp:
     def d(cls, power: int = 1) -> DiffOp:
         return cls.term(0, power)
 
-    def _lift(self, other) -> DiffOp | None:
-        if isinstance(other, DiffOp):
-            return other
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            return DiffOp({(0, 0): _coeff(other)})
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, value in other.terms.items():
-            terms[key] = terms.get(key, ParamPoly.zero()) + value
-        return DiffOp(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DiffOp({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def compose(self, other: DiffOp) -> DiffOp:
         """self after other, normal-ordered; acts like operator product."""
         terms: dict[tuple[int, int], ParamPoly] = {}
@@ -247,65 +125,20 @@ class DiffOp:
                 base = c1 * c2
                 for j in range(min(b1, a2) + 1):
                     key = (a1 + a2 - j, b1 + b2 - j)
-                    coeff = base * (math.comb(b1, j) * math.perm(a2, j))
-                    terms[key] = terms.get(key, ParamPoly.zero()) + coeff
-        return DiffOp(terms)
+                    _add_term(terms, key, base * (math.comb(b1, j) * math.perm(a2, j)))
+        return self._new(terms)
 
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
+    def _mul(self, other: DiffOp) -> DiffOp:
         return self.compose(other)
-
-    def __rmul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other.compose(self)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        result = DiffOp.identity()
-        for _ in range(n):
-            result = self.compose(result)
-        return result
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def apply(self, p: Poly1) -> Poly1:
         """Act on a polynomial; exact falling-factorial derivative action."""
-        coeffs: dict[int, ParamPoly] = {}
+        terms: dict[int, ParamPoly] = {}
         for (a, b), oc in self.terms.items():
-            for m, pc in p.coeffs.items():
-                if m < b:
-                    continue
-                degree = m - b + a
-                value = oc * pc * math.perm(m, b)
-                coeffs[degree] = coeffs.get(degree, ParamPoly.zero()) + value
-        return Poly1(coeffs)
-
-    def __repr__(self):
-        if not self.terms:
-            return "DiffOp(0)"
-        parts = []
-        for (a, b) in sorted(self.terms, key=lambda k: (k[0] + k[1], k)):
-            factors = []
-            if a:
-                factors.append("x" if a == 1 else f"x^{a}")
-            if b:
-                factors.append("D" if b == 1 else f"D^{b}")
-            body = "*".join(factors) or "1"
-            coeff = self.terms[(a, b)]
-            parts.append(body if coeff == 1 else f"({coeff.text()})*{body}")
-        return f"DiffOp({' + '.join(parts)})"
+            for m, pc in p.terms.items():
+                if m >= b:
+                    _add_term(terms, m - b + a, oc * pc * math.perm(m, b))
+        return p._new(terms)
 
 
 def realize(p: NCPoly, mapping: dict[str, DiffOp]) -> DiffOp:
@@ -363,57 +196,3 @@ def lambda_expansion(n: int) -> Poly1:
         value = factorial(n) / (factorial(m) * factorial(k) * Fraction(2) ** k)
         coeffs[m] = value * lam ** k
     return Poly1(coeffs)
-
-
-def lambda_power_apply(n: int, seed: Poly1 | None = None) -> Poly1:
-    """(x + lam*D)^n applied directly, term by term; the oracle path."""
-    op = DiffOp.x() + ParamPoly.param("lam") * DiffOp.d()
-    result = Poly1.one() if seed is None else seed
-    for _ in range(n):
-        result = op.apply(result)
-    return result
-
-
-def x2d_check(n: int, seed_degree: int = 0) -> bool:
-    """Check the operator realization A = x, B = x^2*D of the h=1 closed form.
-
-    [x^2*D, x] = x^2 makes the commutator square the first operator, so the
-    gamma closed form at h=1 must reproduce the direct power application.
-    """
-    x_op = DiffOp.x()
-    x2d = DiffOp.term(2, 1)
-    seed = Poly1.x_power(seed_degree)
-    direct = seed
-    for _ in range(n):
-        direct = (x_op + x2d).apply(direct)
-    closed = realize(closed_form_hsq(n).substitute({"h": 1}), {"A": x_op, "B": x2d})
-    return direct == closed.apply(seed)
-
-
-def m_realization(n: int) -> Poly1:
-    """The ordered binomial sum realized as x and lam*D, applied to 1.
-
-    Every term with a derivative factor kills the constant seed, so the
-    result is exactly x^n.
-    """
-    lam = ParamPoly.param("lam")
-    mapping = {"A": DiffOp.x(), "B": lam * DiffOp.d()}
-    return realize(m_basis(n), mapping).apply(Poly1.one())
-
-
-def weyl_realization_check(n: int) -> bool:
-    """Check the Weyl closed form against the lam*D realization.
-
-    Realizing A = x, B = lam*D, C = lam (central) in the closed form and
-    applying to 1 must agree with both the closed lambda expansion and the
-    direct operator-power application.
-    """
-    lam = ParamPoly.param("lam")
-    mapping = {
-        "A": DiffOp.x(),
-        "B": lam * DiffOp.d(),
-        "C": lam * DiffOp.identity(),
-    }
-    realized = realize(closed_form_weyl(n), mapping).apply(Poly1.one())
-    expected = lambda_expansion(n)
-    return realized == expected and lambda_power_apply(n) == expected

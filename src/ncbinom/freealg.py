@@ -9,14 +9,10 @@ by commutation relations live in :mod:`ncbinom.rewrite`.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .scalars import ParamPoly
-
-
-class ContextMismatchError(ValueError):
-    """Arithmetic attempted between values from different algebra contexts."""
+from .scalars import ContextMismatchError, ParamPoly, _Sparse
 
 
 @dataclass(frozen=True)
@@ -115,101 +111,36 @@ class Algebra:
         return NCPoly(self, acc)
 
 
-class NCPoly:
-    """Finite ParamPoly-weighted sum of words; immutable."""
+class NCPoly(_Sparse):
+    """Finite ParamPoly-weighted sum of words; immutable.
 
-    __slots__ = ("algebra", "terms")
+    Words multiply by concatenation, and only polynomials of one algebra
+    context combine; mixing contexts raises ``ContextMismatchError``.
+    """
+
+    __slots__ = ("algebra",)
+
+    _key_mul = staticmethod(operator.add)
+    _key_text = staticmethod(word_text)
+    _order = staticmethod(word_key)
 
     def __init__(self, algebra: Algebra, terms: dict[Word, ParamPoly]):
-        pruned = {}
-        for word, coeff in terms.items():
-            if not isinstance(coeff, ParamPoly):
-                coeff = ParamPoly.const(coeff)
-            if not coeff.is_zero():
-                pruned[word] = coeff
         self.algebra = algebra
-        self.terms = pruned
+        super().__init__(terms)
 
-    def _coerce(self, other) -> NCPoly | None:
-        if isinstance(other, NCPoly):
-            if other.algebra != self.algebra:
-                raise ContextMismatchError(
-                    "operands belong to different algebra contexts"
-                )
-            return other
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            coeff = other if isinstance(other, ParamPoly) else ParamPoly.const(other)
-            return NCPoly(self.algebra, {(): coeff})
-        return None
+    def _new(self, terms: dict) -> NCPoly:
+        new = object.__new__(NCPoly)
+        new.algebra = self.algebra
+        new.terms = terms
+        return new
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            terms[word] = terms.get(word, ParamPoly.zero()) + coeff
-        return NCPoly(self.algebra, terms)
+    def _same_context(self, other: NCPoly) -> bool:
+        return self.algebra == other.algebra
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NCPoly(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms: dict[Word, ParamPoly] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                coeff = c1 * c2
-                if word in terms:
-                    terms[word] = terms[word] + coeff
-                else:
-                    terms[word] = coeff
-        return NCPoly(self.algebra, terms)
-
-    def __rmul__(self, other):
-        # scalars commute with everything, so left scalar action is the same
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        result = self.algebra.one()
-        for _ in range(n):
-            result = self * result
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, NCPoly):
-            return self.algebra == other.algebra and self.terms == other.terms
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            return self == self._coerce(other)
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    # Bound here, not only inherited, so that per-class tracing
+    # (perfbench/tracer.py) counts products and renders.
+    __mul__ = _Sparse.__mul__
+    text = _Sparse.text
 
     def degree(self) -> int | None:
         """Maximal word length, or None for the zero polynomial."""
@@ -219,52 +150,10 @@ class NCPoly:
 
     def truncate(self, max_degree: int) -> NCPoly:
         """Drop all words longer than ``max_degree``."""
-        return NCPoly(
-            self.algebra,
-            {w: c for w, c in self.terms.items() if len(w) <= max_degree},
-        )
+        return self._new({w: c for w, c in self.terms.items() if len(w) <= max_degree})
 
     def coefficient(self, word: Word) -> ParamPoly:
         return self.terms.get(tuple(word), ParamPoly.zero())
-
-    def substitute(self, bindings: dict) -> NCPoly:
-        """Bind coefficient parameters (e.g. h -> 1), keeping words intact."""
-        return NCPoly(
-            self.algebra, {w: c.substitute(bindings) for w, c in self.terms.items()}
-        )
-
-    def canonical_terms(self):
-        """Terms sorted by word length, then generator declaration order."""
-        return sorted(self.terms.items(), key=lambda item: word_key(item[0]))
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for i, (word, coeff) in enumerate(self.canonical_terms()):
-            sign, body = self._term_text(word, coeff, lead=(i == 0))
-            pieces.append((" - " if sign < 0 else " + ") + body if i else body)
-        return "".join(pieces)
-
-    @staticmethod
-    def _term_text(word: Word, coeff: ParamPoly, lead: bool):
-        """Return (sign, body); sign only meaningful for non-lead terms."""
-        terms = coeff.terms
-        if len(terms) == 1:
-            ((_, value),) = terms.items()
-            sign = -1 if value < 0 else 1
-            shown = coeff if (lead or sign > 0) else -coeff
-            if not word:
-                return sign, shown.text()
-            if shown == 1:
-                return sign, word_text(word)
-            if shown == -1:
-                return sign, "-" + word_text(word)
-            return sign, f"{shown.text()}*{word_text(word)}"
-        body = f"({coeff.text()})"
-        if word:
-            body += f"*{word_text(word)}"
-        return 1, body
 
     def to_json(self) -> dict:
         return {
@@ -281,12 +170,6 @@ class NCPoly:
             word = algebra.word(*entry["word"])
             terms.append((word, ParamPoly.from_text(entry["coeff"])))
         return algebra.from_terms(terms)
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"NCPoly({self.text()})"
 
 
 def commutator(x: NCPoly, p: NCPoly) -> NCPoly:

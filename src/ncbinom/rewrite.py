@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .freealg import Algebra, ContextMismatchError, Generator, NCPoly, Word
-from .scalars import ParamPoly
+from .scalars import ParamPoly, _add_term
 
 DEFAULT_BUDGET = 10**6
 
@@ -186,10 +186,12 @@ class RelationSystem:
         self._report = ValidationReport(not violations, violations, warnings)
         return self._report
 
-    def _find_redex(self, word: Word, strategy: str) -> int | None:
-        positions = range(len(word) - 1)
+    def _find_redex(self, word: Word, strategy: str, start: int) -> int | None:
+        """The leftmost redex at or after ``start``, or the rightmost before it."""
         if strategy == "rightmost":
-            positions = reversed(positions)
+            positions = reversed(range(min(start, len(word) - 1)))
+        else:
+            positions = range(start, len(word) - 1)
         for i in positions:
             if self._position[word[i]] > self._position[word[i + 1]]:
                 return i
@@ -222,12 +224,18 @@ class RelationSystem:
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy {strategy!r}")
 
+        # Each work item carries where its next redex search starts: the
+        # prefix before a leftmost redex is normal, and so is the suffix
+        # after a rightmost one, so only the seam around the rewritten pair
+        # needs scanning again.
+        leftmost = strategy == "leftmost"
         acc: dict[Word, ParamPoly] = {}
-        work: list[tuple[Word, ParamPoly]] = list(p.terms.items())
+        work = [(word, coeff, 0 if leftmost else len(word))
+                for word, coeff in p.terms.items()]
         steps = 0
         while work:
-            word, coeff = work.pop()
-            i = self._find_redex(word, strategy)
+            word, coeff, start = work.pop()
+            i = self._find_redex(word, strategy, start)
             if i is None:
                 acc[word] = acc.get(word, ParamPoly.zero()) + coeff
                 continue
@@ -237,11 +245,13 @@ class RelationSystem:
             left, right = word[:i], word[i + 2:]
             x, y = word[i], word[i + 1]
             if x.central or y.central:
-                work.append((left + (y, x) + right, coeff))
-                continue
-            replacement = self.rules[(x.name, y.name)]
-            for rword, rcoeff in replacement.terms.items():
-                work.append((left + rword + right, coeff * rcoeff))
+                rewritten = [((y, x), coeff)]
+            else:
+                rule = self.rules[(x.name, y.name)]
+                rewritten = [(w, coeff * c) for w, c in rule.terms.items()]
+            for rword, rcoeff in rewritten:
+                start = max(i - 1, 0) if leftmost else i + len(rword)
+                work.append((left + rword + right, rcoeff, start))
         return NCPoly(self.algebra, acc)
 
     def power(self, p: NCPoly, n: int, budget: int = DEFAULT_BUDGET) -> NCPoly:
@@ -263,7 +273,7 @@ class RelationSystem:
             for word, coeff in factor:
                 start = {u: _times(coeff, c) for u, c in result.items()}
                 for u, c in reducer.fold(word, start).items():
-                    _add(product, u, c)
+                    _add_term(product, u, c)
             result = product
         return reducer.decode(result)
 
@@ -290,18 +300,6 @@ def _times(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     if b is _ONE:
         return a
     return a * b
-
-
-def _add(acc: dict, word, coeff: ParamPoly) -> None:
-    """acc[word] += coeff, dropping the entry if it cancels."""
-    if word in acc:
-        total = acc[word] + coeff
-        if total:
-            acc[word] = total
-        else:
-            del acc[word]
-    else:
-        acc[word] = coeff
 
 
 class _Reducer:
@@ -352,11 +350,11 @@ class _Reducer:
             while cut > 0 and word[cut - 1] <= word[cut]:
                 cut -= 1
             if cut <= 0:
-                _add(acc, word, coeff)
+                _add_term(acc, word, coeff)
                 continue
             while len(levels) <= cut:
                 levels.append({})
-            _add(levels[cut].setdefault(word[:cut], {}), word[cut:], _unit(coeff))
+            _add_term(levels[cut].setdefault(word[:cut], {}), word[cut:], _unit(coeff))
         self._run(self._fold_prefixes(levels))
         return acc
 
@@ -372,7 +370,7 @@ class _Reducer:
                 parent = parents.setdefault(prefix[:-1], {})
                 folded = yield from self._fold(prefix[-1:], terms)
                 for u, c in folded.items():
-                    _add(parent, u, c)
+                    _add_term(parent, u, c)
 
     def _run(self, task):
         """Run a generator that yields the (letter, word) pushes it needs.
@@ -408,18 +406,18 @@ class _Reducer:
             pushed: dict[tuple[int, ...], ParamPoly] = {}
             for w, c in terms.items():
                 if not w or g <= w[0]:
-                    _add(pushed, (g,) + w, c)
+                    _add_term(pushed, (g,) + w, c)
                     continue
                 if g < n_central:
                     # central letters commute with everything: insert in order
                     i = bisect_right(w, g)
-                    _add(pushed, w[:i] + (g,) + w[i:], c)
+                    _add_term(pushed, w[:i] + (g,) + w[i:], c)
                     continue
                 # g commutes past the central prefix; only the rest is rewritten
                 k = bisect_left(w, n_central)
                 head, u = w[:k], w[k:]
                 if not u or g <= u[0]:
-                    _add(pushed, head + (g,) + u, c)
+                    _add_term(pushed, head + (g,) + u, c)
                     continue
                 value = memo.get((g, u))
                 if value is None:
@@ -429,7 +427,7 @@ class _Reducer:
                         # merge the prefix with any central letters r starts with
                         central = r and r[0] < n_central
                         r = tuple(sorted(head + r)) if central else head + r
-                    _add(pushed, r, _times(c, cr))
+                    _add_term(pushed, r, _times(c, cr))
             terms = pushed
         return terms
 
@@ -443,7 +441,7 @@ class _Reducer:
         for v, cv in self._replacement(g, u[0]):
             terms = yield from self._fold(v, {u[1:]: cv})
             for r, c in terms.items():
-                _add(out, r, c)
+                _add_term(out, r, c)
         return out
 
     def _replacement(self, later: int, earlier: int) -> list:

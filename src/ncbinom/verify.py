@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .binomial import (
+    _ab,
     closed_form_hsq,
     closed_form_weyl,
     essential_expand,
@@ -20,21 +21,10 @@ from .binomial import (
     gamma_factor,
     m_basis,
     m_derivation_expand,
-    m_power_defect,
-    m_product_defect,
     twisted_expand,
     weyl_coefficient,
 )
-from .diffop import (
-    DiffOp,
-    Poly1,
-    hermite,
-    lambda_expansion,
-    lambda_power_apply,
-    m_realization,
-    weyl_realization_check,
-    x2d_check,
-)
+from .diffop import DiffOp, Poly1, hermite, lambda_expansion, realize
 from .freealg import Algebra, NCPoly, commutator
 from .rewrite import make_family
 from .scalars import ParamPoly, binom, factorial
@@ -63,6 +53,77 @@ def random_ncpoly(rng: random.Random, algebra: Algebra,
         )
         terms.append((word, rng.choice([-3, -2, -1, 1, 2, 3])))
     return algebra.from_terms(terms)
+
+
+def m_product_defect(n: int, algebra: Algebra | None = None) -> NCPoly:
+    """M_1 * M_n - M_{n+1} - d_B(M_n); identically zero."""
+    algebra, a, b = _ab(algebra)
+    m_n = m_basis(n, algebra)
+    return m_basis(1, algebra) * m_n - m_basis(n + 1, algebra) - commutator(b, m_n)
+
+
+def m_power_defect(n: int, algebra: Algebra | None = None) -> NCPoly:
+    """M_1^n - M_n - sum_{k<=n-2} M_1^k d_B(M_{n-1-k}); identically zero."""
+    algebra, a, b = _ab(algebra)
+    m_1 = m_basis(1, algebra)
+    total = m_1 ** n - m_basis(n, algebra)
+    for k in range(n - 1):
+        total = total - m_1 ** k * commutator(b, m_basis(n - 1 - k, algebra))
+    return total
+
+
+def lambda_power_apply(n: int, seed: Poly1 | None = None) -> Poly1:
+    """(x + lam*D)^n applied directly, term by term; the oracle path."""
+    op = DiffOp.x() + ParamPoly.param("lam") * DiffOp.d()
+    result = Poly1.one() if seed is None else seed
+    for _ in range(n):
+        result = op.apply(result)
+    return result
+
+
+def x2d_check(n: int, seed_degree: int = 0) -> bool:
+    """Check the operator realization A = x, B = x^2*D of the h=1 closed form.
+
+    [x^2*D, x] = x^2 makes the commutator square the first operator, so the
+    gamma closed form at h=1 must reproduce the direct power application.
+    """
+    x_op = DiffOp.x()
+    x2d = DiffOp.term(2, 1)
+    seed = Poly1.x_power(seed_degree)
+    direct = seed
+    for _ in range(n):
+        direct = (x_op + x2d).apply(direct)
+    closed = realize(closed_form_hsq(n).substitute({"h": 1}), {"A": x_op, "B": x2d})
+    return direct == closed.apply(seed)
+
+
+def m_realization(n: int) -> Poly1:
+    """The ordered binomial sum realized as x and lam*D, applied to 1.
+
+    Every term with a derivative factor kills the constant seed, so the
+    result is exactly x^n.
+    """
+    lam = ParamPoly.param("lam")
+    mapping = {"A": DiffOp.x(), "B": lam * DiffOp.d()}
+    return realize(m_basis(n), mapping).apply(Poly1.one())
+
+
+def weyl_realization_check(n: int) -> bool:
+    """Check the Weyl closed form against the lam*D realization.
+
+    Realizing A = x, B = lam*D, C = lam (central) in the closed form and
+    applying to 1 must agree with both the closed lambda expansion and the
+    direct operator-power application.
+    """
+    lam = ParamPoly.param("lam")
+    mapping = {
+        "A": DiffOp.x(),
+        "B": lam * DiffOp.d(),
+        "C": lam * DiffOp.identity(),
+    }
+    realized = realize(closed_form_weyl(n), mapping).apply(Poly1.one())
+    expected = lambda_expansion(n)
+    return realized == expected and lambda_power_apply(n) == expected
 
 
 def strategy_agreement(family: str, cases: int = RANDOM_CASES,

@@ -16,24 +16,23 @@ from ncbinom.binomial import (
     gamma_factor,
     m_basis,
     m_derivation_expand,
-    m_power_defect,
-    m_product_defect,
     twisted_expand,
     weyl_coefficient,
     weyl_triple,
 )
-from ncbinom.diffop import (
-    Poly1,
-    hermite,
-    lambda_expansion,
-    lambda_power_apply,
-    m_realization,
-    x2d_check,
-)
+from ncbinom.diffop import Poly1, hermite, lambda_expansion
 from ncbinom.freealg import Algebra, commutator
 from ncbinom.rewrite import make_family
 from ncbinom.scalars import binom, factorial
-from ncbinom.verify import random_ncpoly, strategy_agreement
+from ncbinom.verify import (
+    lambda_power_apply,
+    m_power_defect,
+    m_product_defect,
+    m_realization,
+    random_ncpoly,
+    strategy_agreement,
+    x2d_check,
+)
 
 
 def _report(number: int, description: str, ok: bool) -> None:

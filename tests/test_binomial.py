@@ -15,8 +15,6 @@ from ncbinom.binomial import (
     gamma_factor,
     m_basis,
     m_derivation_expand,
-    m_power_defect,
-    m_product_defect,
     twisted_expand,
     weyl_coefficient,
     weyl_m_text,
@@ -25,6 +23,7 @@ from ncbinom.binomial import (
 from ncbinom.freealg import NCPoly, commutator
 from ncbinom.rewrite import make_family
 from ncbinom.scalars import ParamPoly, binom, factorial
+from ncbinom.verify import m_power_defect, m_product_defect
 
 ALG = free_pair()
 A, B = ALG.gen("A"), ALG.gen("B")

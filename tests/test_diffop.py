@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,18 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncbinom.binomial import m_basis
-from ncbinom.diffop import (
-    DiffOp,
-    Poly1,
-    hermite,
-    lambda_expansion,
+from ncbinom.diffop import DiffOp, Poly1, hermite, lambda_expansion, realize
+from ncbinom.rewrite import make_family
+from ncbinom.scalars import ParamPoly
+from ncbinom.verify import (
     lambda_power_apply,
     m_realization,
-    realize,
+    random_ncpoly,
     weyl_realization_check,
     x2d_check,
 )
-from ncbinom.scalars import ParamPoly
 
 X = DiffOp.x()
 D = DiffOp.d()
@@ -159,3 +158,20 @@ def test_x2d_realization():
 def test_weyl_realization():
     for n in range(7):
         assert weyl_realization_check(n)
+
+
+def test_compose_matches_weyl_quotient():
+    # x and D satisfy D*x = x*D + 1, the weyl relation at C = 1, so realizing
+    # a word by composition must agree with reading its normal form
+    # C^k A^i B^j as x^i D^j.
+    weyl = make_family("weyl")
+    mapping = {"A": X, "B": D, "C": DiffOp.identity()}
+    rng = random.Random(0)
+    for _ in range(200):
+        p = random_ncpoly(rng, weyl.algebra, max_degree=5)
+        expected = DiffOp.zero()
+        for word, coeff in weyl.normal_form(p).terms.items():
+            names = [g.name for g in word]
+            key = (names.count("A"), names.count("B"))
+            expected = expected + coeff * DiffOp.term(*key)
+        assert realize(p, mapping) == expected

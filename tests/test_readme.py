@@ -1,0 +1,55 @@
+"""The README examples, run as printed.
+
+Every ``$ ncbinom ...`` line in a plain fenced block is run through
+``ncbinom.cli.main``, and its stdout must equal the lines printed under it
+byte for byte.  The ``python`` Library block is executed, so its asserts
+must hold.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from ncbinom.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+FENCE = re.compile(r"^```(\w*)\n(.*?)^```$", re.MULTILINE | re.DOTALL)
+
+
+def _blocks(language: str) -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    return [body for lang, body in FENCE.findall(text) if lang == language]
+
+
+def _cli_examples() -> list[tuple[str, str]]:
+    """(command, expected stdout) for each ``$ ncbinom`` line."""
+    examples = []
+    for body in _blocks(""):
+        for line in body.splitlines():
+            if line.startswith("$ "):
+                examples.append([line[2:], []])
+            elif examples:
+                examples[-1][1].append(line)
+    return [
+        (command, "\n".join(lines).rstrip("\n") + "\n")
+        for command, lines in examples
+    ]
+
+
+EXAMPLES = _cli_examples()
+
+
+@pytest.mark.parametrize("command, expected", EXAMPLES,
+                         ids=[command for command, _ in EXAMPLES])
+def test_cli_example(command, expected, capsys):
+    argv = shlex.split(command)
+    assert argv[0] == "ncbinom"
+    assert main(argv[1:]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_library_example():
+    (code,) = _blocks("python")
+    exec(compile(code, str(README), "exec"), {})

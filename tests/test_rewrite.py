@@ -286,12 +286,14 @@ def test_closed_forms_match_power_at_24():
 def test_long_word_does_not_deepen_the_stack():
     # B*A^1000 leaves 1000 pushes pending at once, deeper than Python's
     # default recursion limit.  Under weyl the worklist needs about 5*10^5
-    # central swaps here (minutes), so that result is checked against
-    # [B, A^n] = n*C*A^(n-1); under hsq the worklist is quick enough to
-    # serve as the oracle itself.
+    # central swaps here (seconds), so that result is checked against
+    # [B, A^n] = n*C*A^(n-1), and the worklist checks a shorter word; under
+    # hsq the worklist is quick enough to serve as the oracle itself.
     weyl = make_family("weyl")
     a, b, c = (weyl.gen(name) for name in "ABC")
     assert weyl.normal_form(b * a ** 1000) == a ** 1000 * b + 1000 * c * a ** 999
+    word = b * a ** 300
+    assert weyl.normal_form(word) == weyl.normal_form(word, strategy="leftmost")
 
     hsq = make_family("hsq")
     a, b = hsq.gen("A"), hsq.gen("B")

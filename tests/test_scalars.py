@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncbinom.diffop import DiffOp, Poly1
+from ncbinom.freealg import Algebra
 from ncbinom.scalars import ParamPoly, UnboundParameterError, binom, factorial
 
 
@@ -134,3 +136,36 @@ def test_degree_and_parameters():
     assert ParamPoly.const(5).constant_value() == 5
     with pytest.raises(ValueError):
         p.constant_value()
+
+
+def _plumbing_values():
+    h = ParamPoly.param("h")
+    alg = Algebra("A", "B")
+    a, b = alg.gen("A"), alg.gen("B")
+    x, d = DiffOp.x(), DiffOp.d()
+    return [
+        ("ParamPoly", ParamPoly.zero()),
+        ("ParamPoly", 2 + h - Fraction(1, 3) * h ** 2),
+        ("NCPoly", alg.zero()),
+        ("NCPoly", a * b - 2 * b + h),
+        ("Poly1", Poly1.zero()),
+        ("Poly1", Poly1({2: 1, 0: -1}) + h * Poly1.x_power(1)),
+        ("DiffOp", DiffOp.zero()),
+        ("DiffOp", x - h * d + 3),
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, p", _plumbing_values(),
+    ids=lambda v: v if isinstance(v, str) else ("nonzero" if v else "zero"),
+)
+def test_shared_ring_plumbing(kind, p):
+    # ParamPoly, NCPoly, Poly1 and DiffOp share one sparse-combination core
+    assert type(p).__name__ == kind
+    assert 3 - p == -(p - 3)
+    assert 2 * p == p + p
+    assert (p == 0) == (not p) == p.is_zero()
+    difference = p - p
+    assert difference == 0 and not difference.terms
+    assert p ** 0 == 1
+    assert p ** 2 == p * p
