@@ -12,11 +12,10 @@ The brute-force oracle throughout is ``(a + b) ** n`` in the free algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .freealg import Algebra, NCPoly, commutator, twisted_power
 from .rewrite import FAMILIES, RelationSystem, load_system, make_family
-from .scalars import ParamPoly, binom, factorial
+from .scalars import ParamPoly, binom, factorial, pairings
 
 EXPAND_METHODS = (
     "brute",
@@ -51,15 +50,21 @@ def _ab(algebra: Algebra | None) -> tuple[Algebra, NCPoly, NCPoly]:
     return algebra, algebra.gen("A"), algebra.gen("B")
 
 
-def m_basis(n: int, algebra: Algebra | None = None) -> NCPoly:
-    """The ordered binomial sum M_n = sum_k C(n,k) A^k B^(n-k)."""
+def _ordered_sum(coeffs: list, algebra: Algebra | None) -> NCPoly:
+    """sum_k coeffs[k] A^k B^(n-k), where n = len(coeffs) - 1."""
     if algebra is None:
         algebra = free_pair()
     gen_a = algebra.generator("A")
     gen_b = algebra.generator("B")
+    n = len(coeffs) - 1
     return algebra.from_terms(
-        ((gen_a,) * k + (gen_b,) * (n - k), binom(n, k)) for k in range(n + 1)
+        ((gen_a,) * k + (gen_b,) * (n - k), coeff) for k, coeff in enumerate(coeffs)
     )
+
+
+def m_basis(n: int, algebra: Algebra | None = None) -> NCPoly:
+    """The ordered binomial sum M_n = sum_k C(n,k) A^k B^(n-k)."""
+    return _ordered_sum([binom(n, k) for k in range(n + 1)], algebra)
 
 
 def twisted_expand(n: int, algebra: Algebra | None = None) -> NCPoly:
@@ -140,18 +145,7 @@ def closed_form_hsq(n: int, algebra: Algebra | None = None) -> NCPoly:
 
     Quotient-equal to (A+B)^n under the relation [B, A] = h*A^2.
     """
-    if algebra is None:
-        algebra = free_pair()
-    gen_a = algebra.generator("A")
-    gen_b = algebra.generator("B")
-    return algebra.from_terms(
-        ((gen_a,) * k + (gen_b,) * (n - k), binom(n, k) * gamma_factor(k))
-        for k in range(n + 1)
-    )
-
-
-def _weyl_coeff_value(n: int, k: int) -> Fraction:
-    return factorial(n) / (factorial(n - 2 * k) * factorial(k) * Fraction(2) ** k)
+    return _ordered_sum([binom(n, k) * gamma_factor(k) for k in range(n + 1)], algebra)
 
 
 def weyl_coefficient(n: int, k: int, via: str = "closed",
@@ -167,7 +161,7 @@ def weyl_coefficient(n: int, k: int, via: str = "closed",
         raise ValueError(f"k must satisfy 0 <= 2k <= n, got n={n}, k={k}")
     if via == "closed":
         word = (algebra.generator("C"),) * k
-        return NCPoly(algebra, {word: ParamPoly.const(_weyl_coeff_value(n, k))})
+        return NCPoly(algebra, {word: ParamPoly.const(pairings(n, k))})
     if via == "recurrence":
         c = algebra.gen("C")
         row = {0: algebra.one()}
@@ -201,7 +195,7 @@ def weyl_m_text(n: int) -> str:
     """Render the Weyl closed form over the M-basis, e.g. ``M_2 + C``."""
     pieces = []
     for k in range(n // 2 + 1):
-        value = _weyl_coeff_value(n, k)
+        value = pairings(n, k)
         m = n - 2 * k
         factors = []
         if value != 1:
@@ -235,6 +229,8 @@ def exp_defect(which: str, order: int, algebra: Algebra | None = None) -> NCPoly
     Both identities hold degree by degree, so the truncated defect is
     exactly zero for every order.
     """
+    if order < 0:
+        raise ValueError("order must be non-negative")
     algebra, a, b = _ab(algebra)
     lhs = _exp_series(a + b, order)
     e_b = _exp_series(b, order)

@@ -64,6 +64,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hermite(args) -> int:
+    if args.n < 0:
+        raise ValueError("n must be non-negative")
     values = []
     for k in range(args.n + 1):
         operator = hermite(k, "operator")
@@ -82,6 +84,8 @@ def _cmd_hermite(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    if args.n < 0:
+        raise ValueError("n must be non-negative")
     ok = True
     for k in range(args.n + 1):
         value = gamma_factor(k)

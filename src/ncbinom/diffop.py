@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from .freealg import NCPoly
-from .scalars import ParamPoly, _add_term, _Sparse, factorial
+from .scalars import ParamPoly, _add_term, _Sparse, pairings
 
 HERMITE_PATHS = ("operator", "explicit_sum", "recurrence_oracle")
 
@@ -168,9 +167,8 @@ def hermite(n: int, via: str = "operator") -> Poly1:
     if via == "explicit_sum":
         coeffs = {}
         for k in range(n // 2 + 1):
-            m = n - 2 * k
-            value = factorial(n) / (factorial(m) * factorial(k) * Fraction(2) ** k)
-            coeffs[m] = -value if k % 2 else value
+            value = pairings(n, k)
+            coeffs[n - 2 * k] = -value if k % 2 else value
         return Poly1(coeffs)
     if via == "recurrence_oracle":
         prev, cur = Poly1.one(), Poly1.x_power(1)
@@ -192,7 +190,5 @@ def lambda_expansion(n: int) -> Poly1:
     lam = ParamPoly.param("lam")
     coeffs = {}
     for k in range(n // 2 + 1):
-        m = n - 2 * k
-        value = factorial(n) / (factorial(m) * factorial(k) * Fraction(2) ** k)
-        coeffs[m] = value * lam ** k
+        coeffs[n - 2 * k] = pairings(n, k) * lam ** k
     return Poly1(coeffs)

@@ -92,6 +92,11 @@ class RelationSystem:
     ``rules`` maps an out-of-order pair of generator names
     ``(later, earlier)`` to its normal-form replacement polynomial.
     Immutable after construction; ``normal_form`` is pure.
+
+    Both reducers, ``power`` and ``validate`` read words coded as tuples of
+    alphabet positions: a coded word is normal iff it is non-decreasing, and
+    its central letters are the positions below ``n_central``.  ``validate``
+    compiles the rules once into ``{(later, earlier): [(coded word, coeff)]}``.
     """
 
     def __init__(self, algebra: Algebra, rules: dict[tuple[str, str], NCPoly],
@@ -102,23 +107,32 @@ class RelationSystem:
         self.alphabet: tuple[Generator, ...] = tuple(
             sorted(algebra.generators, key=lambda g: (not g.central, g.index))
         )
-        self._position = {g: i for i, g in enumerate(self.alphabet)}
+        self._rank = [0] * len(self.alphabet)  # generator index -> position
+        for pos, g in enumerate(self.alphabet):
+            self._rank[g.index] = pos
+        self.n_central = sum(1 for g in self.alphabet if g.central)
         self.rules = dict(rules)
         self._report: ValidationReport | None = None
+        self._compiled: dict[tuple[int, int], list] = {}
 
     def gen(self, name: str) -> NCPoly:
         return self.algebra.gen(name)
 
     def position(self, gen: Generator) -> int:
-        return self._position[gen]
+        pos = self._rank[gen.index]
+        if self.alphabet[pos] != gen:
+            raise KeyError(f"generator {gen.name!r} is not in this system")
+        return pos
 
-    def _noncentral_multiset(self, word: Word) -> Counter:
-        return Counter(self._position[g] for g in word if not g.central)
+    def _encode(self, word: Word) -> tuple[int, ...]:
+        rank = self._rank
+        return tuple(rank[g.index] for g in word)
 
-    def _is_normal_word(self, word: Word) -> bool:
-        return all(
-            self._position[word[i]] <= self._position[word[i + 1]]
-            for i in range(len(word) - 1)
+    def _decode(self, terms: dict) -> NCPoly:
+        alphabet = self.alphabet
+        return NCPoly(
+            self.algebra,
+            {tuple(alphabet[i] for i in word): c for word, c in terms.items()},
         )
 
     def validate(self) -> ValidationReport:
@@ -132,7 +146,7 @@ class RelationSystem:
         violations: list[str] = []
         warnings: list[str] = []
 
-        noncentral = [g for g in self.alphabet if not g.central]
+        noncentral = self.alphabet[self.n_central:]
         required = {
             (later.name, earlier.name)
             for i, earlier in enumerate(noncentral)
@@ -141,37 +155,40 @@ class RelationSystem:
         for pair in sorted(required - set(self.rules)):
             violations.append(f"missing rule for out-of-order pair {pair[0]}{pair[1]}")
 
+        compiled = {}
         for (later_name, earlier_name), replacement in self.rules.items():
             label = f"rule {later_name}{earlier_name}"
             if not (self.algebra.has_generator(later_name)
                     and self.algebra.has_generator(earlier_name)):
                 violations.append(f"{label}: unknown generator in pair")
                 continue
-            later = self.algebra.generator(later_name)
-            earlier = self.algebra.generator(earlier_name)
-            if later.central or earlier.central:
+            later = self.position(self.algebra.generator(later_name))
+            earlier = self.position(self.algebra.generator(earlier_name))
+            if min(later, earlier) < self.n_central:
                 violations.append(
                     f"{label}: central generators commute implicitly, no rule allowed"
                 )
                 continue
-            if self._position[later] <= self._position[earlier]:
+            if later <= earlier:
                 violations.append(f"{label}: pair is not out of order")
                 continue
             if replacement.algebra != self.algebra:
                 violations.append(f"{label}: replacement from a different context")
                 continue
-            pair_multiset = self._noncentral_multiset((later, earlier))
-            transposed = (earlier, later)
-            for word, _ in replacement.canonical_terms():
-                if not self._is_normal_word(word):
+            pair_multiset = Counter((later, earlier))
+            rule = compiled[(later, earlier)] = []
+            for word, coeff in replacement.canonical_terms():
+                coded = self._encode(word)
+                rule.append((coded, _unit(coeff)))
+                if list(coded) != sorted(coded):
                     violations.append(
                         f"{label}: replacement term '{_word_name(word)}' "
                         "is not in normal form"
                     )
-                if word == transposed:
+                if coded == (earlier, later):
                     continue
-                term_multiset = self._noncentral_multiset(word)
-                degree_drops = sum(term_multiset.values()) < sum(pair_multiset.values())
+                term_multiset = Counter(i for i in coded if i >= self.n_central)
+                degree_drops = sum(term_multiset.values()) < 2  # letters in the pair
                 if not (degree_drops or _dm_smaller(term_multiset, pair_multiset)):
                     violations.append(
                         f"{label}: replacement term '{_word_name(word)}' "
@@ -184,16 +201,19 @@ class RelationSystem:
                 "user-defined system: confluence is only checked statistically"
             )
         self._report = ValidationReport(not violations, violations, warnings)
+        if self._report.ok:
+            self._compiled = compiled
         return self._report
 
-    def _find_redex(self, word: Word, strategy: str, start: int) -> int | None:
+    @staticmethod
+    def _find_redex(word: tuple[int, ...], strategy: str, start: int) -> int | None:
         """The leftmost redex at or after ``start``, or the rightmost before it."""
         if strategy == "rightmost":
             positions = reversed(range(min(start, len(word) - 1)))
         else:
             positions = range(start, len(word) - 1)
         for i in positions:
-            if self._position[word[i]] > self._position[word[i + 1]]:
+            if word[i] > word[i + 1]:
                 return i
         return None
 
@@ -218,9 +238,9 @@ class RelationSystem:
         counts each rule it applies to a new (letter, word) pair.
         """
         self._check_input(p)
+        coded = [(self._encode(word), coeff) for word, coeff in p.terms.items()]
         if strategy == "memo":
-            reducer = _Reducer(self, budget)
-            return reducer.decode(reducer.reduce(p))
+            return self._decode(_Reducer(self, budget).reduce(coded))
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -229,30 +249,29 @@ class RelationSystem:
         # after a rightmost one, so only the seam around the rewritten pair
         # needs scanning again.
         leftmost = strategy == "leftmost"
-        acc: dict[Word, ParamPoly] = {}
-        work = [(word, coeff, 0 if leftmost else len(word))
-                for word, coeff in p.terms.items()]
+        acc: dict[tuple[int, ...], ParamPoly] = {}
+        work = [(word, coeff, 0 if leftmost else len(word)) for word, coeff in coded]
         steps = 0
         while work:
             word, coeff, start = work.pop()
             i = self._find_redex(word, strategy, start)
             if i is None:
-                acc[word] = acc.get(word, ParamPoly.zero()) + coeff
+                _add_term(acc, word, coeff)
                 continue
             steps += 1
             if steps > budget:
                 raise _budget_exceeded(budget)
             left, right = word[:i], word[i + 2:]
             x, y = word[i], word[i + 1]
-            if x.central or y.central:
+            if y < self.n_central:
+                # a central letter in a redex is always its y: a plain swap
                 rewritten = [((y, x), coeff)]
             else:
-                rule = self.rules[(x.name, y.name)]
-                rewritten = [(w, coeff * c) for w, c in rule.terms.items()]
+                rewritten = [(w, _times(coeff, c)) for w, c in self._compiled[(x, y)]]
             for rword, rcoeff in rewritten:
                 start = max(i - 1, 0) if leftmost else i + len(rword)
                 work.append((left + rword + right, rcoeff, start))
-        return NCPoly(self.algebra, acc)
+        return self._decode(acc)
 
     def power(self, p: NCPoly, n: int, budget: int = DEFAULT_BUDGET) -> NCPoly:
         """The normal form of ``p ** n``, built as nf(p * nf(p^(n-1))).
@@ -264,18 +283,13 @@ class RelationSystem:
         if n < 0:
             raise ValueError("negative powers are not defined")
         reducer = _Reducer(self, budget)
-        factor = [
-            (reducer.encode(word), _unit(coeff)) for word, coeff in p.terms.items()
-        ]
+        factor = [(self._encode(word), _unit(coeff)) for word, coeff in p.terms.items()]
         result: dict[tuple[int, ...], ParamPoly] = {(): _ONE}
         for _ in range(n):
-            product: dict[tuple[int, ...], ParamPoly] = {}
-            for word, coeff in factor:
-                start = {u: _times(coeff, c) for u, c in result.items()}
-                for u, c in reducer.fold(word, start).items():
-                    _add_term(product, u, c)
-            result = product
-        return reducer.decode(result)
+            result = reducer.reduce(
+                (w + u, _times(c, cu)) for w, c in factor for u, cu in result.items()
+            )
+        return self._decode(result)
 
     def quotient_eq(self, p: NCPoly, q: NCPoly, budget: int = DEFAULT_BUDGET) -> bool:
         """Equality in the quotient algebra: identical normal forms."""
@@ -305,36 +319,22 @@ def _times(a: ParamPoly, b: ParamPoly) -> ParamPoly:
 class _Reducer:
     """Memoized normal forms for one call of ``normal_form`` or ``power``.
 
-    Words are tuples of alphabet positions, so a word is normal iff it is
-    non-decreasing, and the central letters are the positions below
-    ``n_central``.  Central letters are moved into place without rules or
-    memo entries.  ``memo[(g, u)]`` holds nf(g * u) for a non-central letter
-    g and a normal word u free of central letters with u[0] < g; every entry
-    is one rule application against the budget.
+    Words are coded as in ``RelationSystem``.  Central letters are moved
+    into place without rules or memo entries.  ``memo[(g, u)]`` holds
+    nf(g * u) for a non-central letter g and a normal word u free of central
+    letters with u[0] < g; every entry is one rule application against the
+    budget.
     """
 
     def __init__(self, system: RelationSystem, budget: int):
-        self.system = system
-        self.rank = [system.position(g) for g in system.algebra.generators]
-        self.n_central = sum(1 for g in system.alphabet if g.central)
-        self.replacements: dict[tuple[int, int], list] = {}
+        self.compiled = system._compiled
+        self.n_central = system.n_central
         self.budget = budget
         self.steps = 0
         self.memo: dict[tuple[int, tuple[int, ...]], dict] = {}
 
-    def encode(self, word: Word) -> tuple[int, ...]:
-        rank = self.rank
-        return tuple(rank[g.index] for g in word)
-
-    def decode(self, terms: dict) -> NCPoly:
-        alphabet = self.system.alphabet
-        return NCPoly(
-            self.system.algebra,
-            {tuple(alphabet[i] for i in word): c for word, c in terms.items()},
-        )
-
-    def reduce(self, p: NCPoly) -> dict:
-        """nf(p), folding words that share a prefix together.
+    def reduce(self, terms) -> dict:
+        """nf of the coded (word, coeff) pairs, folding shared prefixes together.
 
         Each word splits into its longest normal suffix and the prefix
         before it, so an already normal word costs one scan.  Suffixes are
@@ -344,8 +344,7 @@ class _Reducer:
         """
         acc: dict[tuple[int, ...], ParamPoly] = {}
         levels: list[dict] = [{(): acc}]  # levels[d][prefix of length d]
-        for word, coeff in p.terms.items():
-            word = self.encode(word)
+        for word, coeff in terms:
             cut = len(word) - 1
             while cut > 0 and word[cut - 1] <= word[cut]:
                 cut -= 1
@@ -357,10 +356,6 @@ class _Reducer:
             _add_term(levels[cut].setdefault(word[:cut], {}), word[cut:], _unit(coeff))
         self._run(self._fold_prefixes(levels))
         return acc
-
-    def fold(self, letters: tuple[int, ...], terms: dict) -> dict:
-        """nf(letters * terms) for normal ``terms``, pushing the last letter first."""
-        return self._run(self._fold(letters, terms))
 
     def _fold_prefixes(self, levels: list[dict]):
         while len(levels) > 1:
@@ -375,9 +370,10 @@ class _Reducer:
     def _run(self, task):
         """Run a generator that yields the (letter, word) pushes it needs.
 
-        Pushes that miss the memo run as generators too, on an explicit
-        stack: each yields what it needs and receives its normal form, so
-        the Python stack depth does not grow with the word length.
+        ``_fold`` yields only pushes that miss the memo.  They run as
+        generators too, on an explicit stack: each yields what it needs and
+        receives its normal form, so the Python stack depth does not grow
+        with the word length.
         """
         memo = self.memo
         stack = [(None, task)]
@@ -392,12 +388,11 @@ class _Reducer:
                     return done.value
                 value = memo[key] = done.value
                 continue
-            value = memo.get(need)
-            if value is None:
-                self.steps += 1
-                if self.steps > self.budget:
-                    raise _budget_exceeded(self.budget)
-                stack.append((need, self._push(*need)))
+            self.steps += 1
+            if self.steps > self.budget:
+                raise _budget_exceeded(self.budget)
+            stack.append((need, self._push(*need)))
+            value = None  # a new generator starts on None
 
     def _fold(self, letters: tuple[int, ...], terms: dict):
         memo = self.memo
@@ -438,21 +433,11 @@ class _Reducer:
         term into u[1:].
         """
         out: dict[tuple[int, ...], ParamPoly] = {}
-        for v, cv in self._replacement(g, u[0]):
+        for v, cv in self.compiled[(g, u[0])]:
             terms = yield from self._fold(v, {u[1:]: cv})
             for r, c in terms.items():
                 _add_term(out, r, c)
         return out
-
-    def _replacement(self, later: int, earlier: int) -> list:
-        key = (later, earlier)
-        if key not in self.replacements:
-            alphabet = self.system.alphabet
-            rule = self.system.rules[(alphabet[later].name, alphabet[earlier].name)]
-            self.replacements[key] = [
-                (self.encode(word), _unit(coeff)) for word, coeff in rule.terms.items()
-            ]
-        return self.replacements[key]
 
 
 def _word_name(word: Word) -> str:
@@ -501,7 +486,7 @@ def load_system(source) -> RelationSystem:
          "rules": [{"pair": ["B", "A"], "replacement": <NCPoly JSON>}]}
 
     A document that breaks the schema raises ``MalformedSystemError``
-    naming the missing key.
+    naming the entry and the missing key or the expected shape.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -527,8 +512,12 @@ def load_system(source) -> RelationSystem:
             )
         try:
             rules[tuple(pair)] = NCPoly.from_json(algebra, replacement)
-        except KeyError as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
+            # AttributeError: a "coeff" that is not text; TypeError: a list
+            # or a number where an object is expected
+            fault = (f'missing "{exc.args[0]}"' if isinstance(exc, KeyError) else
+                     'must be {"terms": [{"coeff": "<text>", "word": [...]}, ...]}')
             raise MalformedSystemError(
-                f'malformed system file: {where} replacement missing "{exc.args[0]}"'
+                f"malformed system file: {where} replacement {fault}"
             ) from None
     return RelationSystem(algebra, rules, name=None, builtin=False)

@@ -47,6 +47,14 @@ def factorial(n: int) -> Fraction:
     return Fraction(math.factorial(n))
 
 
+def pairings(n: int, k: int) -> Fraction:
+    """n!/((n-2k)! k! 2^k): the ways to pick k disjoint pairs from n points.
+
+    The coefficients of the Weyl closed form and of the Hermite polynomials.
+    """
+    return factorial(n) / (factorial(n - 2 * k) * factorial(k) * Fraction(2) ** k)
+
+
 def _add_term(terms: dict, key, coeff) -> None:
     """terms[key] += coeff for a nonzero coeff, dropping the entry if it cancels."""
     if key in terms:

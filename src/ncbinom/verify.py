@@ -152,6 +152,11 @@ def strategy_agreement(family: str, cases: int = RANDOM_CASES,
     )
 
 
+def _differs(value, expected, label: str, **where) -> dict | None:
+    """None if value == expected, else the counterexample ``where`` plus ``label``."""
+    return None if value == expected else {**where, label: value.to_json()}
+
+
 def _range_check(name: str, upper: int, detail: str, body) -> CheckResult:
     """Run body(n) for n = 0..upper; body returns None or a counterexample."""
     for n in range(upper + 1):
@@ -210,9 +215,7 @@ def _suite_theorem1(bound, seed: int) -> list[CheckResult]:
     commutative = make_family("commutative")
 
     def oracle(n):
-        if twisted_expand(n, algebra) != brute ** n:
-            return {"n": n, "expansion": twisted_expand(n, algebra).to_json()}
-        return None
+        return _differs(twisted_expand(n, algebra), brute ** n, "expansion", n=n)
 
     def paths(k):
         diff = essential_part(k, "difference", algebra)
@@ -225,9 +228,7 @@ def _suite_theorem1(bound, seed: int) -> list[CheckResult]:
         reduced = commutative.normal_form(
             essential_part(k, algebra=commutative.algebra)
         )
-        if not reduced.is_zero():
-            return {"k": k, "normal_form": reduced.to_json()}
-        return None
+        return _differs(reduced, 0, "normal_form", k=k)
 
     return [
         _range_check("twisted-expansion-oracle", n_max,
@@ -245,22 +246,16 @@ def _suite_theorem2(bound, seed: int) -> list[CheckResult]:
     n_max = bound(8)
 
     def derivation_oracle(n):
-        if m_derivation_expand(n, algebra) != brute ** n:
-            return {"n": n, "expansion": m_derivation_expand(n, algebra).to_json()}
-        return None
+        return _differs(m_derivation_expand(n, algebra), brute ** n, "expansion", n=n)
 
     def essential_oracle(n):
-        if essential_expand(n, algebra) != brute ** n:
-            return {"n": n, "expansion": essential_expand(n, algebra).to_json()}
-        return None
+        return _differs(essential_expand(n, algebra), brute ** n, "expansion", n=n)
 
     def product_defect(n):
-        defect = m_product_defect(n, algebra)
-        return None if defect.is_zero() else {"n": n, "defect": defect.to_json()}
+        return _differs(m_product_defect(n, algebra), 0, "defect", n=n)
 
     def power_defect(n):
-        defect = m_power_defect(n, algebra)
-        return None if defect.is_zero() else {"n": n, "defect": defect.to_json()}
+        return _differs(m_power_defect(n, algebra), 0, "defect", n=n)
 
     return [
         _range_check("derivation-expansion-oracle", n_max,
@@ -315,16 +310,12 @@ def _suite_hsq(bound, seed: int) -> list[CheckResult]:
     def essential_collapse(k):
         reduced = system.normal_form(essential_part(k, algebra=algebra))
         expected = (gamma_factor(k) - 1) * a ** k
-        if reduced != expected:
-            return {"k": k, "normal_form": reduced.to_json()}
-        return None
+        return _differs(reduced, expected, "normal_form", k=k)
 
     def transport(k):
         reduced = system.normal_form(commutator(b, a ** (k + 1)))
         expected = (k + 1) * h * a ** (k + 2)
-        if reduced != expected:
-            return {"k": k + 1, "normal_form": reduced.to_json()}
-        return None
+        return _differs(reduced, expected, "normal_form", k=k + 1)
 
     return [
         _range_check("closed-form-quotient", n_max,
@@ -368,16 +359,12 @@ def _suite_weyl(bound, seed: int) -> list[CheckResult]:
     def m_transport(n):
         reduced = system.normal_form(commutator(b, m_basis(n, algebra)))
         expected = algebra.zero() if n == 0 else n * c * m_basis(n - 1, algebra)
-        if reduced != expected:
-            return {"n": n, "normal_form": reduced.to_json()}
-        return None
+        return _differs(reduced, expected, "normal_form", n=n)
 
     def power_transport(k):
         reduced = system.normal_form(commutator(b, a ** (k + 1)))
         expected = (k + 1) * c * a ** k
-        if reduced != expected:
-            return {"k": k + 1, "normal_form": reduced.to_json()}
-        return None
+        return _differs(reduced, expected, "normal_form", k=k + 1)
 
     centrality = CheckResult("centrality", True, "100 random polynomials")
     for _ in range(100):
@@ -442,10 +429,7 @@ def _suite_hermite(bound, seed: int) -> list[CheckResult]:
         return None
 
     def realization(n):
-        value = m_realization(n)
-        if value != Poly1.x_power(n):
-            return {"n": n, "result": value.to_json()}
-        return None
+        return _differs(m_realization(n), Poly1.x_power(n), "result", n=n)
 
     def lambda_paths(n):
         closed = lambda_expansion(n)

@@ -90,6 +90,18 @@ def test_expand_negative_n(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("hermite", "--n", "-1"), "n must be non-negative"),
+    (("gamma", "--n", "-2"), "n must be non-negative"),
+    (("exp-check", "--order", "-1"), "order must be non-negative"),
+])
+def test_negative_sizes_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_expand_bad_method_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["expand", "--n", "2", "--method", "magic"])
@@ -215,3 +227,17 @@ def test_malformed_relation_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == 'error: malformed system file: missing "alphabet"\n'
+
+
+def test_numeric_coeff_in_relation_file(capsys, tmp_path):
+    replacement = {"terms": [{"coeff": 1, "word": ["A", "B"]}]}
+    doc = {"alphabet": [{"name": "A"}, {"name": "B"}],
+           "rules": [{"pair": ["B", "A"], "replacement": replacement}]}
+    path = tmp_path / "numeric_coeff.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "expand", "--n", "2", "--method", "brute", "--relation", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed system file: rules entry 0 replacement ")

@@ -314,6 +314,27 @@ def test_budget_message_names_the_budget():
         hsq.power(a + b, 6, budget=3)
 
 
+# Rule applications to reduce (A+B)^n, per reducer, for n = 4, 5, ...
+WORKLIST_COUNTS = {"hsq": [49, 294, 1893, 13572], "weyl": [51, 248, 1131, 5049]}
+MEMO_COUNTS = {"hsq": [6, 10, 15, 21, 28], "weyl": [6, 10, 15, 21]}
+
+
+def test_rule_application_counts():
+    # The count is the smallest budget that succeeds.  The README user
+    # system declares its central C last and counts like weyl.
+    systems = [("hsq", make_family("hsq")), ("weyl", make_family("weyl")),
+               ("weyl", load_system(USER_SYSTEM))]
+    for family, system in systems:
+        s = system.gen("A") + system.gen("B")
+        for strategy in ("leftmost", "rightmost", "memo"):
+            counts = (MEMO_COUNTS if strategy == "memo" else WORKLIST_COUNTS)[family]
+            for n, count in enumerate(counts, start=4):
+                p = s ** n
+                system.normal_form(p, budget=count, strategy=strategy)
+                with pytest.raises(BudgetExceededError):
+                    system.normal_form(p, budget=count - 1, strategy=strategy)
+
+
 def test_malformed_system_names_the_missing_key():
     cases = [
         ({"rules": []}, 'missing "alphabet"'),
@@ -326,6 +347,13 @@ def test_malformed_system_names_the_missing_key():
         ({"alphabet": [{"name": "A"}], "rules": [{"pair": "BA", "replacement": {}}]},
          'rules entry 0 "pair" must name two generators'),
     ]
+    shape = 'must be {"terms": [{"coeff": "<text>", "word": [...]}, ...]}'
+    numeric = json.loads(json.dumps(USER_SYSTEM))
+    numeric["rules"][0]["replacement"]["terms"][0]["coeff"] = 1
+    listed = json.loads(json.dumps(USER_SYSTEM))
+    listed["rules"][0]["replacement"] = [1]
+    cases += [(numeric, f"rules entry 0 replacement {shape}"),
+              (listed, f"rules entry 0 replacement {shape}")]
     for doc, message in cases:
         with pytest.raises(MalformedSystemError) as info:
             load_system(doc)
