@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import Algebra, NCPoly, commutator, twisted_power
+from .freealg import Algebra, NCPoly, commutator, twisted_power, twisted_powers
 from .rewrite import FAMILIES, RelationSystem, load_system, make_family
 from .scalars import ParamPoly, binom, factorial, pairings
 
@@ -62,6 +62,12 @@ def _ordered_sum(coeffs: list, algebra: Algebra | None) -> NCPoly:
     )
 
 
+def _essential_parts(a: NCPoly, b: NCPoly, n: int):
+    """Yield D_0 .. D_n as T_k - A^k, both running in one pass."""
+    for t_k, a_k in zip(twisted_powers(a, b, n), a.powers(n)):
+        yield t_k - a_k
+
+
 def m_basis(n: int, algebra: Algebra | None = None) -> NCPoly:
     """The ordered binomial sum M_n = sum_k C(n,k) A^k B^(n-k)."""
     return _ordered_sum([binom(n, k) for k in range(n + 1)], algebra)
@@ -71,12 +77,16 @@ def twisted_expand(n: int, algebra: Algebra | None = None) -> NCPoly:
     """Binomial expansion sum_k C(n,k) {(A+d_B)^k 1} B^(n-k).
 
     Free-algebra equal to (A+B)^n: the twisted powers absorb every
-    reordering correction while the binomial coefficient survives.
+    reordering correction while the binomial coefficient survives.  Each
+    T_k is its own ``twisted_power`` call, k steps of the map, which is the
+    per-call step count perfbench/tracer.py reports as
+    ``binomial.twisted_steps``.
     """
     algebra, a, b = _ab(algebra)
+    b_powers = list(b.powers(n))
     total = algebra.zero()
     for k in range(n + 1):
-        total = total + binom(n, k) * twisted_power(a, b, k) * b ** (n - k)
+        total = total + binom(n, k) * twisted_power(a, b, k) * b_powers[n - k]
     return total
 
 
@@ -103,25 +113,24 @@ def essential_part(k: int, via: str = "difference",
 def essential_expand(n: int, algebra: Algebra | None = None) -> NCPoly:
     """Expansion M_n + sum_k C(n,k) D_k B^(n-k); equals (A+B)^n freely."""
     algebra, a, b = _ab(algebra)
+    b_powers = list(b.powers(n))
     total = m_basis(n, algebra)
-    for k in range(n + 1):
-        d_k = essential_part(k, algebra=algebra)
+    for k, d_k in enumerate(_essential_parts(a, b, n)):
         if not d_k.is_zero():
-            total = total + binom(n, k) * d_k * b ** (n - k)
+            total = total + binom(n, k) * d_k * b_powers[n - k]
     return total
 
 
 def m_derivation_expand(n: int, algebra: Algebra | None = None) -> NCPoly:
     """Expansion M_n + sum_{k<=n-2} (A+B)^k d_B(M_{n-1-k}).
 
-    The (A+B)^k factors are computed by brute power so the identity is
+    The (A+B)^k factors are a running brute product, so the identity is
     checked against an independent path, not through itself.
     """
     algebra, a, b = _ab(algebra)
-    s = a + b
     total = m_basis(n, algebra)
-    for k in range(n - 1):
-        total = total + s ** k * commutator(b, m_basis(n - 1 - k, algebra))
+    for k, s_k in zip(range(n - 1), (a + b).powers(n)):
+        total = total + s_k * commutator(b, m_basis(n - 1 - k, algebra))
     return total
 
 
@@ -212,12 +221,10 @@ def weyl_m_text(n: int) -> str:
 
 def _exp_series(p: NCPoly, order: int) -> NCPoly:
     """sum_{k<=order} p^k / k!, truncated to total degree <= order."""
-    total = p.algebra.one()
-    power = p.algebra.one()
-    for k in range(1, order + 1):
-        power = (power * p).truncate(order)
+    total = p.algebra.zero()
+    for k, power in enumerate(p.powers(order)):
         total = total + power * (1 / factorial(k))
-    return total
+    return total.truncate(order)
 
 
 def exp_defect(which: str, order: int, algebra: Algebra | None = None) -> NCPoly:
@@ -236,13 +243,12 @@ def exp_defect(which: str, order: int, algebra: Algebra | None = None) -> NCPoly
     e_b = _exp_series(b, order)
     if which == "factored":
         twisted = algebra.zero()
-        for k in range(order + 1):
-            twisted = twisted + twisted_power(a, b, k) * (1 / factorial(k))
+        for k, t_k in enumerate(twisted_powers(a, b, order)):
+            twisted = twisted + t_k * (1 / factorial(k))
         rhs = twisted * e_b
     elif which == "split":
         rhs = _exp_series(a, order) * e_b
-        for k in range(order + 1):
-            d_k = essential_part(k, algebra=algebra)
+        for k, d_k in enumerate(_essential_parts(a, b, order)):
             if not d_k.is_zero():
                 rhs = rhs + d_k * (1 / factorial(k)) * e_b
     else:

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import ContextMismatchError, ParamPoly, _Sparse
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """One symbol of the alphabet; ``central`` marks it as commuting with
-    everything (only the rewrite layer acts on this flag)."""
+    everything (only the rewrite layer acts on this flag).
+
+    A tuple, so a word hashes and compares letter by letter in C.
+    """
 
     name: str
     central: bool = False
@@ -32,6 +34,17 @@ Word = tuple[Generator, ...]
 def word_key(word: Word):
     """Canonical order: length first, then generator declaration order."""
     return (len(word), tuple(g.index for g in word))
+
+
+def _as_word(word) -> Word:
+    """A sequence of generators as a word.
+
+    A bare generator is itself a tuple, so it is refused here rather than
+    read as a word of its fields.
+    """
+    if isinstance(word, Generator):
+        raise TypeError(f"expected a word (a tuple of generators), got generator {word.name!r}")
+    return tuple(word)
 
 
 def word_text(word: Word) -> str:
@@ -106,7 +119,7 @@ class Algebra:
         """Build a polynomial from (word, coefficient) pairs, merging duplicates."""
         acc: dict[Word, ParamPoly] = {}
         for word, coeff in terms:
-            word = tuple(word)
+            word = _as_word(word)
             acc[word] = acc.get(word, ParamPoly.zero()) + coeff
         return NCPoly(self, acc)
 
@@ -153,7 +166,7 @@ class NCPoly(_Sparse):
         return self._new({w: c for w, c in self.terms.items() if len(w) <= max_degree})
 
     def coefficient(self, word: Word) -> ParamPoly:
-        return self.terms.get(tuple(word), ParamPoly.zero())
+        return self.terms.get(_as_word(word), ParamPoly.zero())
 
     def to_json(self) -> dict:
         return {
@@ -177,10 +190,11 @@ def commutator(x: NCPoly, p: NCPoly) -> NCPoly:
     return x * p - p * x
 
 
-def twisted_power(a: NCPoly, b: NCPoly, k: int) -> NCPoly:
-    """Apply X -> a*X + [b, X] to the identity k times.
+def twisted_powers(a: NCPoly, b: NCPoly, k: int):
+    """Yield T_0 .. T_k, where T_0 = 1 and T_{j+1} = a*T_j + [b, T_j].
 
-    The result is homogeneous of degree k when a and b are generators,
+    T_j is the twisted power (a + d_b)^j 1; each element costs one step of
+    the map.  T_j is homogeneous of degree j when a and b are generators,
     since both left multiplication and the commutator raise degree by 1.
     """
     if a.algebra != b.algebra:
@@ -188,6 +202,14 @@ def twisted_power(a: NCPoly, b: NCPoly, k: int) -> NCPoly:
     if k < 0:
         raise ValueError("k must be non-negative")
     result = a.algebra.one()
+    yield result
     for _ in range(k):
         result = a * result + commutator(b, result)
+        yield result
+
+
+def twisted_power(a: NCPoly, b: NCPoly, k: int) -> NCPoly:
+    """Apply X -> a*X + [b, X] to the identity k times: T_k of
+    :func:`twisted_powers`."""
+    *_, result = twisted_powers(a, b, k)
     return result

@@ -486,17 +486,26 @@ def load_system(source) -> RelationSystem:
          "rules": [{"pair": ["B", "A"], "replacement": <NCPoly JSON>}]}
 
     A document that breaks the schema raises ``MalformedSystemError``
-    naming the entry and the missing key or the expected shape.
+    naming the entry and the fault: a missing key, a value of the wrong
+    type or shape, or a replacement that names an unknown generator or
+    holds a coefficient that does not parse.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     else:
         doc = source
-    alphabet = [
-        (_require(entry, "name", f"alphabet entry {i}"), entry.get("central", False))
-        for i, entry in enumerate(_require(doc, "alphabet"))
-    ]
+    alphabet = []
+    for i, entry in enumerate(_require(doc, "alphabet")):
+        where = f"alphabet entry {i}"
+        name = _require(entry, "name", where)
+        central = entry.get("central", False)
+        fault = ('"name" must be a string' if not isinstance(name, str) else
+                 '"name" must not be empty' if not name else
+                 '"central" must be a bool' if not isinstance(central, bool) else None)
+        if fault:
+            raise MalformedSystemError(f"malformed system file: {where} {fault}")
+        alphabet.append((name, central))
     algebra = Algebra(
         *(name for name, _ in alphabet),
         central=tuple(name for name, central in alphabet if central),
@@ -519,5 +528,10 @@ def load_system(source) -> RelationSystem:
                      'must be {"terms": [{"coeff": "<text>", "word": [...]}, ...]}')
             raise MalformedSystemError(
                 f"malformed system file: {where} replacement {fault}"
+            ) from None
+        except ValueError as exc:
+            # an unknown generator in a word, or a coefficient that does not parse
+            raise MalformedSystemError(
+                f"malformed system file: {where} replacement: {exc}"
             ) from None
     return RelationSystem(algebra, rules, name=None, builtin=False)

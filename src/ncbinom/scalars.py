@@ -1,8 +1,12 @@
 """Exact coefficient arithmetic and the sparse-combination core.
 
 The coefficient ring is Q[h, lam, ...]: polynomials in named central scalar
-parameters with arbitrary-precision rational coefficients.  Rationals are
-stdlib ``fractions.Fraction`` (always stored reduced, positive denominator).
+parameters with arbitrary-precision rational coefficients.  A scalar that
+enters a coefficient is stored as an ``int`` when it is integral, else as a
+stdlib ``fractions.Fraction`` (reduced, positive denominator), so sums and
+products of integers stay in C.  A ``Fraction`` result that happens to be
+integral is kept as it is; the two types compare and hash equal, so
+structural equality stays exact either way.
 
 Every value type of the package (``ParamPoly`` here, ``NCPoly`` in
 :mod:`ncbinom.freealg`, ``Poly1`` and ``DiffOp`` in :mod:`ncbinom.diffop`) is
@@ -73,7 +77,7 @@ def _coeff_text(coeff) -> tuple[bool, str]:
     A coefficient that is a sum of several terms has no sign of its own, so
     it is shown whole, in parentheses.
     """
-    if isinstance(coeff, Fraction):
+    if isinstance(coeff, (int, Fraction)):
         return coeff < 0, str(abs(coeff))
     if len(coeff.terms) > 1:
         return False, f"({coeff.text()})"
@@ -86,12 +90,12 @@ class _Sparse:
 
     No stored coefficient is zero, so structural equality of the term map is
     semantic equality.  Instances are immutable; treat ``terms`` as
-    read-only.  Coefficients are ``ParamPoly`` values (``Fraction`` in
-    ``ParamPoly`` itself), and the scalars ``int``, ``Fraction`` and
-    ``ParamPoly`` lift onto the unit key.  A subclass supplies its key
-    product ``_key_mul`` (or overrides ``_mul`` when one key pair yields
-    several keys), its key text ``_key_text`` and its term order ``_order``,
-    a sort key on keys.
+    read-only.  Coefficients are ``ParamPoly`` values (``int`` or
+    ``Fraction`` in ``ParamPoly`` itself), and the scalars ``int``,
+    ``Fraction`` and ``ParamPoly`` lift onto the unit key.  A subclass
+    supplies its key product ``_key_mul`` (or overrides ``_mul`` when one
+    key pair yields several keys), its key text ``_key_text`` and its term
+    order ``_order``, a sort key on keys.
     """
 
     __slots__ = ("terms",)
@@ -198,12 +202,18 @@ class _Sparse:
             return NotImplemented
         return other * self
 
-    def __pow__(self, n: int):
+    def powers(self, n: int):
+        """Yield self^0 .. self^n by repeated multiplication, one product each."""
         if n < 0:
             raise ValueError("negative powers are not defined")
         result = self._lift(1)
+        yield result
         for _ in range(n):
             result = self * result
+            yield result
+
+    def __pow__(self, n: int):
+        *_, result = self.powers(n)
         return result
 
     def substitute(self, bindings: dict):
@@ -263,16 +273,24 @@ _NUMBER = re.compile(r"^[0-9]+(?:/[0-9]+)?$")
 
 
 class ParamPoly(_Sparse):
-    """Sparse multivariate polynomial in named parameters over Fraction.
+    """Sparse multivariate polynomial in named parameters over the rationals.
 
     Terms map a monomial (sorted tuple of (name, power) pairs, no zero
-    powers) to a nonzero Fraction.  Rendered by total degree, then exponent
-    vector.
+    powers) to a nonzero rational, an ``int`` or a ``Fraction`` (a scalar
+    from outside enters as an ``int`` when integral).  Rendered by total
+    degree, then exponent vector.
     """
 
     __slots__ = ()
 
-    _coeff = staticmethod(Fraction)
+    @staticmethod
+    def _coeff(value):
+        """A scalar from outside as a stored rational."""
+        if type(value) is int:
+            return value
+        value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
+
     _key_mul = staticmethod(_mul_monomials)
     _key_text = staticmethod(_monomial_text)
 
@@ -312,7 +330,7 @@ class ParamPoly(_Sparse):
         """The value of a constant polynomial (error otherwise)."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def parameters(self) -> set[str]:
         return {name for mono in self.terms for name, _ in mono}

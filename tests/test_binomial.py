@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ncbinom import freealg
 from ncbinom.binomial import (
     ExpansionReport,
     IncompatibleRelationError,
@@ -20,7 +22,7 @@ from ncbinom.binomial import (
     weyl_m_text,
     weyl_triple,
 )
-from ncbinom.freealg import NCPoly, commutator
+from ncbinom.freealg import NCPoly, commutator, twisted_powers
 from ncbinom.rewrite import make_family
 from ncbinom.scalars import ParamPoly, binom, factorial
 from ncbinom.verify import m_power_defect, m_product_defect
@@ -62,6 +64,11 @@ def test_essential_part_paths_agree():
         assert essential_part(k, "difference") == essential_part(k, "recurrence")
     with pytest.raises(ValueError):
         essential_part(2, "guesswork")
+
+
+def test_running_essential_parts_match_recurrence():
+    for k, t_k in enumerate(twisted_powers(A, B, 8)):
+        assert t_k - A ** k == essential_part(k, via="recurrence")
 
 
 def test_essential_expand_matches_brute():
@@ -238,3 +245,39 @@ def test_weyl_coefficient_value_type():
     ((word, coeff),) = value.terms.items()
     assert all(g.name == "C" for g in word) and len(word) == 2
     assert coeff == Fraction(6 * 5 * 4 * 3, 8)
+
+
+def test_engines_take_one_twisted_step_per_degree(monkeypatch):
+    """Work-count guard: the twisted sequence is built once, not once per k.
+
+    ``twisted_expand`` is left out: it calls ``twisted_power`` once per k.
+
+    Every twisted step applies the commutator once; the NCPoly products of
+    an engine grow by the same amount per step of n, not quadratically.
+    """
+    counts = Counter()
+    mul = NCPoly.__mul__
+
+    def counting_mul(self, other):
+        counts["products"] += 1
+        return mul(self, other)
+
+    def counting_commutator(x, p):
+        counts["steps"] += 1
+        return commutator(x, p)
+
+    monkeypatch.setattr(NCPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(freealg, "commutator", counting_commutator)
+    engines = {
+        "essential_expand": essential_expand,
+        "exp_defect split": lambda n: exp_defect("split", n),
+        "exp_defect factored": lambda n: exp_defect("factored", n),
+    }
+    for name, engine in engines.items():
+        products = {}
+        for n in (6, 8, 10):
+            counts.clear()
+            engine(n)
+            assert counts["steps"] == n, (name, n, counts["steps"])
+            products[n] = counts["products"]
+        assert products[10] - products[8] == products[8] - products[6], (name, products)

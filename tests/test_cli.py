@@ -229,6 +229,17 @@ def test_malformed_relation_file(capsys, tmp_path):
     assert err == 'error: malformed system file: missing "alphabet"\n'
 
 
+def test_alphabet_name_not_a_string_in_relation_file(capsys, tmp_path):
+    path = tmp_path / "numeric_name.json"
+    path.write_text(json.dumps({"alphabet": [{"name": 5}, {"name": "B"}], "rules": []}))
+    code, out, err = run(
+        capsys, "expand", "--n", "2", "--method", "brute", "--relation", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == 'error: malformed system file: alphabet entry 0 "name" must be a string\n'
+
+
 def test_numeric_coeff_in_relation_file(capsys, tmp_path):
     replacement = {"terms": [{"coeff": 1, "word": ["A", "B"]}]}
     doc = {"alphabet": [{"name": "A"}, {"name": "B"}],

@@ -8,6 +8,7 @@ from ncbinom.freealg import (
     NCPoly,
     commutator,
     twisted_power,
+    twisted_powers,
     word_text,
 )
 from ncbinom.scalars import ParamPoly
@@ -104,6 +105,15 @@ def test_twisted_power_values():
         twisted_power(A, B, -1)
 
 
+def test_twisted_powers_match_single_powers():
+    sequence = list(twisted_powers(A, B, 8))
+    assert len(sequence) == 9
+    for k, value in enumerate(sequence):
+        assert value == twisted_power(A, B, k)
+    with pytest.raises(ValueError):
+        list(twisted_powers(A, B, -1))
+
+
 def test_twisted_power_homogeneous():
     for k in range(6):
         value = twisted_power(A, B, k)
@@ -125,6 +135,39 @@ def test_structural_algebra_equality():
     # independently built contexts interoperate
     p = Algebra("A", "B").gen("A") + Algebra("A", "B").gen("B")
     assert p == Algebra("A", "B").gen("A") + Algebra("A", "B").gen("B")
+
+
+def test_generators_compare_and_hash_by_value():
+    first, second = Algebra("A", "B"), Algebra("A", "B")
+    assert first.generator("A") == second.generator("A")
+    assert hash(first.generator("A")) == hash(second.generator("A"))
+    word = first.word("A", "B", "A")
+    assert word == second.word("A", "B", "A")
+    assert hash(word) == hash(second.word("A", "B", "A"))
+    assert {word: 1}[second.word("A", "B", "A")] == 1
+    flagged = Algebra("A", "B", central=("A",))
+    assert flagged.generator("A") != first.generator("A")
+    assert flagged.word("A", "B", "A") != word
+
+
+def test_bare_generator_is_not_a_word():
+    alg = Algebra("A", "B")
+    p = alg.gen("A") + 2 * alg.gen("B")
+    with pytest.raises(TypeError):
+        p.coefficient(alg.generator("A"))
+    with pytest.raises(TypeError):
+        alg.from_terms([(alg.generator("A"), 1)])
+    assert p.coefficient((alg.generator("B"),)) == ParamPoly.const(2)
+    assert alg.from_terms([([alg.generator("A")], 1)]) == alg.gen("A")
+
+
+def test_powers_are_the_prefix_of_pow():
+    p = A + B
+    sequence = list(p.powers(4))
+    assert sequence == [p ** k for k in range(5)]
+    assert sequence[0] == A.algebra.one()
+    with pytest.raises(ValueError):
+        p ** -1
 
 
 def test_text_rendering():

@@ -352,9 +352,30 @@ def test_malformed_system_names_the_missing_key():
     numeric["rules"][0]["replacement"]["terms"][0]["coeff"] = 1
     listed = json.loads(json.dumps(USER_SYSTEM))
     listed["rules"][0]["replacement"] = [1]
+    unknown = json.loads(json.dumps(USER_SYSTEM))
+    unknown["rules"][0]["replacement"]["terms"][0]["word"] = ["X"]
+    unparsable = json.loads(json.dumps(USER_SYSTEM))
+    unparsable["rules"][0]["replacement"]["terms"][0]["coeff"] = "1 +* h"
     cases += [(numeric, f"rules entry 0 replacement {shape}"),
-              (listed, f"rules entry 0 replacement {shape}")]
+              (listed, f"rules entry 0 replacement {shape}"),
+              (unknown, "rules entry 0 replacement: unknown generator 'X'"),
+              (unparsable, "rules entry 0 replacement: cannot parse polynomial factor '1 +'")]
     for doc, message in cases:
         with pytest.raises(MalformedSystemError) as info:
             load_system(doc)
+        assert str(info.value) == f"malformed system file: {message}"
+
+
+def test_malformed_alphabet_entry_types():
+    cases = [
+        ([{"name": 5}, {"name": "B"}], 'alphabet entry 0 "name" must be a string'),
+        ([{"name": "A"}, {"name": ["B"]}], 'alphabet entry 1 "name" must be a string'),
+        ([{"name": ""}], 'alphabet entry 0 "name" must not be empty'),
+        ([{"name": "A"}, {"name": "C", "central": "yes"}],
+         'alphabet entry 1 "central" must be a bool'),
+        ([{"name": "C", "central": 1}], 'alphabet entry 0 "central" must be a bool'),
+    ]
+    for alphabet, message in cases:
+        with pytest.raises(MalformedSystemError) as info:
+            load_system({"alphabet": alphabet, "rules": []})
         assert str(info.value) == f"malformed system file: {message}"

@@ -127,6 +127,25 @@ def test_from_text_forms():
         ParamPoly.from_text("h + + h")
 
 
+def test_integral_coefficients_are_ints():
+    assert type(ParamPoly.const(Fraction(6, 3)).terms[()]) is int
+    assert type(ParamPoly.const(Fraction(1, 2)).terms[()]) is Fraction
+    assert type((ParamPoly.const(2) * ParamPoly.const(3)).terms[()]) is int
+    assert ParamPoly.const(3) == ParamPoly.const(Fraction(3))
+    assert ParamPoly.const(3).text() == ParamPoly.const(Fraction(3)).text() == "3"
+    a = Algebra("A").gen("A")
+    assert (a * ParamPoly.const(3)).to_json() == (a * ParamPoly.const(Fraction(3))).to_json()
+    for value in (ParamPoly.const(3), ParamPoly.const(Fraction(1, 2)), ParamPoly.zero()):
+        assert type(value.constant_value()) is Fraction
+    assert ParamPoly.const(3).constant_value() == 3
+    # a Fraction result that lands on an integer stays a Fraction, and still
+    # compares and hashes as the int, so structural equality stays exact
+    half = ParamPoly.const(Fraction(1, 2))
+    for whole in (half * 2, half + half):
+        assert whole == ParamPoly.const(1) and whole.text() == "1"
+        assert hash(whole.terms[()]) == hash(1)
+
+
 def test_degree_and_parameters():
     h, lam = ParamPoly.param("h"), ParamPoly.param("lam")
     p = h ** 2 * lam + 1
