@@ -170,7 +170,7 @@ def weyl_coefficient(n: int, k: int, via: str = "closed",
         raise ValueError(f"k must satisfy 0 <= 2k <= n, got n={n}, k={k}")
     if via == "closed":
         word = (algebra.generator("C"),) * k
-        return NCPoly(algebra, {word: ParamPoly.const(pairings(n, k))})
+        return NCPoly(algebra, {word: pairings(n, k)})
     if via == "recurrence":
         c = algebra.gen("C")
         row = {0: algebra.one()}

@@ -21,7 +21,7 @@ from .binomial import (
     gamma_factor,
     weyl_m_text,
 )
-from .diffop import hermite
+from .diffop import hermite, hermite_sequence
 from .rewrite import BudgetExceededError, InvalidSystemError
 from .scalars import factorial
 from .verify import SUITES, run_suite
@@ -67,11 +67,10 @@ def _cmd_hermite(args) -> int:
     if args.n < 0:
         raise ValueError("n must be non-negative")
     values = []
-    for k in range(args.n + 1):
-        operator = hermite(k, "operator")
-        if operator != hermite(k, "explicit_sum") or operator != hermite(
-            k, "recurrence_oracle"
-        ):
+    paths = zip(hermite_sequence(args.n, "operator"),
+                hermite_sequence(args.n, "recurrence_oracle"))
+    for k, (operator, recurrence) in enumerate(paths):
+        if operator != hermite(k, "explicit_sum") or operator != recurrence:
             print(f"error: generation paths disagree at n={k}", file=sys.stderr)
             return 1
         values.append(operator)

@@ -1,8 +1,9 @@
 """Differential operators acting on polynomials in one variable x.
 
 Operators are finite sums of normal-ordered terms x^a * D^b (all powers of x
-to the left of all derivatives), with ParamPoly coefficients so lambda can
-stay symbolic.  Restricting the function space to polynomials keeps every
+to the left of all derivatives), with coefficients in the parameter ring so
+lambda can stay symbolic; a constant coefficient is a bare rational, as in
+every value type.  Restricting the function space to polynomials keeps every
 action exact and equality decidable.
 
 This realizes the abstract expansions: A = x with B = lam*D gives a central
@@ -16,13 +17,13 @@ import math
 import operator
 
 from .freealg import NCPoly
-from .scalars import ParamPoly, _add_term, _Sparse, pairings
+from .scalars import ParamPoly, _add_term, _box, _scalar_text, _Sparse, pairings
 
 HERMITE_PATHS = ("operator", "explicit_sum", "recurrence_oracle")
 
 
 class Poly1(_Sparse):
-    """Sparse polynomial in x: map degree -> ParamPoly, no zero entries.
+    """Sparse polynomial in x: map degree -> coefficient, no zero entries.
 
     Rendered in descending degree, e.g. ``x^3 - 3*x``.
     """
@@ -54,10 +55,11 @@ class Poly1(_Sparse):
         return max(self.terms) if self.terms else None
 
     def coefficient(self, degree: int) -> ParamPoly:
-        return self.terms.get(degree, ParamPoly.zero())
+        """The coefficient of x^degree, always as a ``ParamPoly``."""
+        return _box(self.terms.get(degree, 0))
 
     def to_json(self) -> dict:
-        return {"coeffs": {str(d): c.text() for d, c in self.canonical_terms()}}
+        return {"coeffs": {str(d): _scalar_text(c) for d, c in self.canonical_terms()}}
 
     @classmethod
     def from_json(cls, doc: dict) -> Poly1:
@@ -118,7 +120,7 @@ class DiffOp(_Sparse):
 
     def compose(self, other: DiffOp) -> DiffOp:
         """self after other, normal-ordered; acts like operator product."""
-        terms: dict[tuple[int, int], ParamPoly] = {}
+        terms: dict = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 base = c1 * c2
@@ -132,7 +134,7 @@ class DiffOp(_Sparse):
 
     def apply(self, p: Poly1) -> Poly1:
         """Act on a polynomial; exact falling-factorial derivative action."""
-        terms: dict[int, ParamPoly] = {}
+        terms: dict = {}
         for (a, b), oc in self.terms.items():
             for m, pc in p.terms.items():
                 if m >= b:
@@ -151,6 +153,29 @@ def realize(p: NCPoly, mapping: dict[str, DiffOp]) -> DiffOp:
     return total
 
 
+def hermite_sequence(n: int, via: str = "operator"):
+    """Yield He_0 .. He_n, each element one step from the one before it.
+
+    ``via`` is "operator" or "recurrence_oracle", the two stepwise paths of
+    :func:`hermite`.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if via == "operator":
+        one = Poly1.one()
+        for power in (DiffOp.x() - DiffOp.d()).powers(n):
+            yield power.apply(one)
+    elif via == "recurrence_oracle":
+        x = Poly1.x_power(1)
+        prev, cur = Poly1.zero(), Poly1.one()
+        yield cur
+        for m in range(n):
+            prev, cur = cur, x * cur - m * prev
+            yield cur
+    else:
+        raise ValueError(f"unknown via {via!r}")
+
+
 def hermite(n: int, via: str = "operator") -> Poly1:
     """Probabilists' Hermite polynomial He_n.
 
@@ -161,23 +186,14 @@ def hermite(n: int, via: str = "operator") -> Poly1:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if via == "operator":
-        op = DiffOp.x() - DiffOp.d()
-        return (op ** n).apply(Poly1.one())
     if via == "explicit_sum":
         coeffs = {}
         for k in range(n // 2 + 1):
             value = pairings(n, k)
             coeffs[n - 2 * k] = -value if k % 2 else value
         return Poly1(coeffs)
-    if via == "recurrence_oracle":
-        prev, cur = Poly1.one(), Poly1.x_power(1)
-        if n == 0:
-            return prev
-        for m in range(1, n):
-            prev, cur = cur, Poly1.x_power(1) * cur - m * prev
-        return cur
-    raise ValueError(f"unknown via {via!r}")
+    *_, result = hermite_sequence(n, via)
+    return result
 
 
 def lambda_expansion(n: int) -> Poly1:

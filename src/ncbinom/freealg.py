@@ -1,9 +1,11 @@
 """The free associative algebra with identity over the parameter ring.
 
-Words are tuples of generators, polynomials are sparse maps word -> ParamPoly.
-No relations are applied here: ``A*B`` and ``B*A`` stay distinct words, which
-is what makes structural equality of term maps semantic equality.  Quotients
-by commutation relations live in :mod:`ncbinom.rewrite`.
+Words are tuples of generators, polynomials are sparse maps word ->
+coefficient, a bare ``int`` or ``Fraction`` when constant and a ``ParamPoly``
+otherwise (see :mod:`ncbinom.scalars`).  No relations are applied here:
+``A*B`` and ``B*A`` stay distinct words, which is what makes structural
+equality of term maps semantic equality.  Quotients by commutation relations
+live in :mod:`ncbinom.rewrite`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import operator
 from typing import NamedTuple
 
-from .scalars import ContextMismatchError, ParamPoly, _Sparse
+from .scalars import ContextMismatchError, ParamPoly, _box, _scalar_text, _Sparse
 
 
 class Generator(NamedTuple):
@@ -31,9 +33,13 @@ class Generator(NamedTuple):
 Word = tuple[Generator, ...]
 
 
+_NAME = operator.itemgetter(0)
+_INDEX = operator.itemgetter(2)
+
+
 def word_key(word: Word):
     """Canonical order: length first, then generator declaration order."""
-    return (len(word), tuple(g.index for g in word))
+    return (len(word), tuple(map(_INDEX, word)))
 
 
 def _as_word(word) -> Word:
@@ -52,7 +58,7 @@ def word_text(word: Word) -> str:
     if not word:
         return "1"
     parts = []
-    for name, run in itertools.groupby(g.name for g in word):
+    for name, run in itertools.groupby(map(_NAME, word)):
         count = sum(1 for _ in run)
         parts.append(name if count == 1 else f"{name}^{count}")
     return "*".join(parts)
@@ -107,25 +113,28 @@ class Algebra:
 
     def gen(self, name: str) -> NCPoly:
         """The generator as a polynomial atom."""
-        return NCPoly(self, {(self.generator(name),): ParamPoly.one()})
+        return NCPoly(self, {(self.generator(name),): 1})
 
     def zero(self) -> NCPoly:
         return NCPoly(self, {})
 
     def one(self) -> NCPoly:
-        return NCPoly(self, {(): ParamPoly.one()})
+        return NCPoly(self, {(): 1})
 
     def from_terms(self, terms) -> NCPoly:
         """Build a polynomial from (word, coefficient) pairs, merging duplicates."""
-        acc: dict[Word, ParamPoly] = {}
+        acc: dict = {}
         for word, coeff in terms:
             word = _as_word(word)
-            acc[word] = acc.get(word, ParamPoly.zero()) + coeff
+            acc[word] = acc.get(word, 0) + coeff
         return NCPoly(self, acc)
 
 
 class NCPoly(_Sparse):
-    """Finite ParamPoly-weighted sum of words; immutable.
+    """Finite sum of words weighted by scalars of the parameter ring; immutable.
+
+    A constant weight is stored as a bare ``int`` or ``Fraction``, any other
+    as a ``ParamPoly``.
 
     Words multiply by concatenation, and only polynomials of one algebra
     context combine; mixing contexts raises ``ContextMismatchError``.
@@ -137,7 +146,7 @@ class NCPoly(_Sparse):
     _key_text = staticmethod(word_text)
     _order = staticmethod(word_key)
 
-    def __init__(self, algebra: Algebra, terms: dict[Word, ParamPoly]):
+    def __init__(self, algebra: Algebra, terms: dict):
         self.algebra = algebra
         super().__init__(terms)
 
@@ -166,12 +175,13 @@ class NCPoly(_Sparse):
         return self._new({w: c for w, c in self.terms.items() if len(w) <= max_degree})
 
     def coefficient(self, word: Word) -> ParamPoly:
-        return self.terms.get(_as_word(word), ParamPoly.zero())
+        """The coefficient of ``word``, always as a ``ParamPoly``."""
+        return _box(self.terms.get(_as_word(word), 0))
 
     def to_json(self) -> dict:
         return {
             "terms": [
-                {"coeff": coeff.text(), "word": [g.name for g in word]}
+                {"coeff": _scalar_text(coeff), "word": list(map(_NAME, word))}
                 for word, coeff in self.canonical_terms()
             ]
         }
@@ -180,7 +190,10 @@ class NCPoly(_Sparse):
     def from_json(cls, algebra: Algebra, doc: dict) -> NCPoly:
         terms = []
         for entry in doc["terms"]:
-            word = algebra.word(*entry["word"])
+            names = entry["word"]
+            if not isinstance(names, list):
+                raise TypeError(f"a word must be a list of names, got {names!r}")
+            word = algebra.word(*names)
             terms.append((word, ParamPoly.from_text(entry["coeff"])))
         return algebra.from_terms(terms)
 

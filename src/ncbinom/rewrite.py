@@ -179,7 +179,7 @@ class RelationSystem:
             rule = compiled[(later, earlier)] = []
             for word, coeff in replacement.canonical_terms():
                 coded = self._encode(word)
-                rule.append((coded, _unit(coeff)))
+                rule.append((coded, coeff))
                 if list(coded) != sorted(coded):
                     violations.append(
                         f"{label}: replacement term '{_word_name(word)}' "
@@ -249,7 +249,7 @@ class RelationSystem:
         # after a rightmost one, so only the seam around the rewritten pair
         # needs scanning again.
         leftmost = strategy == "leftmost"
-        acc: dict[tuple[int, ...], ParamPoly] = {}
+        acc: dict = {}
         work = [(word, coeff, 0 if leftmost else len(word)) for word, coeff in coded]
         steps = 0
         while work:
@@ -267,7 +267,7 @@ class RelationSystem:
                 # a central letter in a redex is always its y: a plain swap
                 rewritten = [((y, x), coeff)]
             else:
-                rewritten = [(w, _times(coeff, c)) for w, c in self._compiled[(x, y)]]
+                rewritten = [(w, coeff * c) for w, c in self._compiled[(x, y)]]
             for rword, rcoeff in rewritten:
                 start = max(i - 1, 0) if leftmost else i + len(rword)
                 work.append((left + rword + right, rcoeff, start))
@@ -283,11 +283,11 @@ class RelationSystem:
         if n < 0:
             raise ValueError("negative powers are not defined")
         reducer = _Reducer(self, budget)
-        factor = [(self._encode(word), _unit(coeff)) for word, coeff in p.terms.items()]
-        result: dict[tuple[int, ...], ParamPoly] = {(): _ONE}
+        factor = [(self._encode(word), coeff) for word, coeff in p.terms.items()]
+        result: dict = {(): 1}
         for _ in range(n):
             result = reducer.reduce(
-                (w + u, _times(c, cu)) for w, c in factor for u, cu in result.items()
+                (w + u, c * cu) for w, c in factor for u, cu in result.items()
             )
         return self._decode(result)
 
@@ -298,22 +298,6 @@ class RelationSystem:
     def __repr__(self):
         label = self.name or "user"
         return f"RelationSystem({label}, {len(self.rules)} rules)"
-
-
-# The multiplicative unit, shared so that the reducer can skip products by 1.
-_ONE = ParamPoly.one()
-
-
-def _unit(coeff: ParamPoly) -> ParamPoly:
-    return _ONE if coeff == _ONE else coeff
-
-
-def _times(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    if a is _ONE:
-        return b
-    if b is _ONE:
-        return a
-    return a * b
 
 
 class _Reducer:
@@ -342,7 +326,7 @@ class _Reducer:
         at a time, longest first, each into the merged normal form of all
         words below it.
         """
-        acc: dict[tuple[int, ...], ParamPoly] = {}
+        acc: dict = {}
         levels: list[dict] = [{(): acc}]  # levels[d][prefix of length d]
         for word, coeff in terms:
             cut = len(word) - 1
@@ -353,7 +337,7 @@ class _Reducer:
                 continue
             while len(levels) <= cut:
                 levels.append({})
-            _add_term(levels[cut].setdefault(word[:cut], {}), word[cut:], _unit(coeff))
+            _add_term(levels[cut].setdefault(word[:cut], {}), word[cut:], coeff)
         self._run(self._fold_prefixes(levels))
         return acc
 
@@ -398,7 +382,7 @@ class _Reducer:
         memo = self.memo
         n_central = self.n_central
         for g in reversed(letters):
-            pushed: dict[tuple[int, ...], ParamPoly] = {}
+            pushed: dict = {}
             for w, c in terms.items():
                 if not w or g <= w[0]:
                     _add_term(pushed, (g,) + w, c)
@@ -422,7 +406,7 @@ class _Reducer:
                         # merge the prefix with any central letters r starts with
                         central = r and r[0] < n_central
                         r = tuple(sorted(head + r)) if central else head + r
-                    _add_term(pushed, r, _times(c, cr))
+                    _add_term(pushed, r, c * cr)
             terms = pushed
         return terms
 
@@ -432,7 +416,7 @@ class _Reducer:
         Applies the rule for the pair (g, u[0]) and folds each replacement
         term into u[1:].
         """
-        out: dict[tuple[int, ...], ParamPoly] = {}
+        out: dict = {}
         for v, cv in self.compiled[(g, u[0])]:
             terms = yield from self._fold(v, {u[1:]: cv})
             for r, c in terms.items():
@@ -477,6 +461,13 @@ def _require(entry, key: str, where: str = ""):
     return entry[key]
 
 
+def _require_list(value, key: str):
+    """``value`` of the top-level ``key``, or a schema error if it is not a list."""
+    if not isinstance(value, list):
+        raise MalformedSystemError(f'malformed system file: "{key}" must be a list')
+    return value
+
+
 def load_system(source) -> RelationSystem:
     """Load a user-defined system from a JSON document, file path, or dict.
 
@@ -496,7 +487,7 @@ def load_system(source) -> RelationSystem:
     else:
         doc = source
     alphabet = []
-    for i, entry in enumerate(_require(doc, "alphabet")):
+    for i, entry in enumerate(_require_list(_require(doc, "alphabet"), "alphabet")):
         where = f"alphabet entry {i}"
         name = _require(entry, "name", where)
         central = entry.get("central", False)
@@ -511,7 +502,7 @@ def load_system(source) -> RelationSystem:
         central=tuple(name for name, central in alphabet if central),
     )
     rules = {}
-    for i, entry in enumerate(doc.get("rules", [])):
+    for i, entry in enumerate(_require_list(doc.get("rules", []), "rules")):
         where = f"rules entry {i}"
         pair = _require(entry, "pair", where)
         replacement = _require(entry, "replacement", where)
@@ -523,7 +514,8 @@ def load_system(source) -> RelationSystem:
             rules[tuple(pair)] = NCPoly.from_json(algebra, replacement)
         except (AttributeError, KeyError, TypeError) as exc:
             # AttributeError: a "coeff" that is not text; TypeError: a list
-            # or a number where an object is expected
+            # or a number where an object is expected, or a "word" that is
+            # not a list
             fault = (f'missing "{exc.args[0]}"' if isinstance(exc, KeyError) else
                      'must be {"terms": [{"coeff": "<text>", "word": [...]}, ...]}')
             raise MalformedSystemError(

@@ -13,6 +13,13 @@ Every value type of the package (``ParamPoly`` here, ``NCPoly`` in
 a finite linear combination of keys and shares the ring plumbing of
 ``_Sparse``; each type supplies only its key product, key text and term
 order.
+
+A coefficient of ``NCPoly``, ``Poly1`` or ``DiffOp`` is stored bare, as an
+``int`` or ``Fraction``, when it is constant, and as a ``ParamPoly`` only when
+it has a non-constant monomial.  Most coefficients the expansions produce are
+plain rationals, so their products and sums run in C rather than through
+``ParamPoly`` arithmetic.  The public ``coefficient`` accessors box a bare
+value back into a ``ParamPoly``.
 """
 
 from __future__ import annotations
@@ -60,15 +67,42 @@ def pairings(n: int, k: int) -> Fraction:
 
 
 def _add_term(terms: dict, key, coeff) -> None:
-    """terms[key] += coeff for a nonzero coeff, dropping the entry if it cancels."""
+    """terms[key] += coeff for a nonzero coeff, dropping the entry if it cancels.
+
+    A sum of two ``ParamPoly`` coefficients that lands on a constant (as in
+    ``h - h + 1``) is stored bare; a product of non-constant polynomials is
+    never a nonzero constant, so products need no such check.
+    """
     if key in terms:
         total = terms[key] + coeff
+        if type(total) is ParamPoly:
+            total = _demote(total)
         if total:
             terms[key] = total
         else:
             del terms[key]
     else:
         terms[key] = coeff
+
+
+def _demote(value: ParamPoly):
+    """A ``ParamPoly`` as a stored coefficient: its bare value when constant."""
+    terms = value.terms
+    if len(terms) > 1:
+        return value
+    if not terms:
+        return 0
+    return terms.get((), value)
+
+
+def _box(coeff) -> ParamPoly:
+    """A stored coefficient as a ``ParamPoly``, for the public accessors."""
+    return coeff if type(coeff) is ParamPoly else ParamPoly.const(coeff)
+
+
+def _scalar_text(coeff) -> str:
+    """The ``ParamPoly.from_text`` form of a stored coefficient."""
+    return coeff.text() if type(coeff) is ParamPoly else str(coeff)
 
 
 def _coeff_text(coeff) -> tuple[bool, str]:
@@ -90,9 +124,10 @@ class _Sparse:
 
     No stored coefficient is zero, so structural equality of the term map is
     semantic equality.  Instances are immutable; treat ``terms`` as
-    read-only.  Coefficients are ``ParamPoly`` values (``int`` or
-    ``Fraction`` in ``ParamPoly`` itself), and the scalars ``int``,
-    ``Fraction`` and ``ParamPoly`` lift onto the unit key.  A subclass
+    read-only.  A coefficient is a bare ``int`` or ``Fraction`` when it is
+    constant and a ``ParamPoly`` only when it has a non-constant monomial
+    (in ``ParamPoly`` itself always a bare rational), and the scalars
+    ``int``, ``Fraction`` and ``ParamPoly`` lift onto the unit key.  A subclass
     supplies its key product ``_key_mul`` (or overrides ``_mul`` when one
     key pair yields several keys), its key text ``_key_text`` and its term
     order ``_order``, a sort key on keys.
@@ -111,9 +146,11 @@ class _Sparse:
                 self.terms[self._key(key)] = coeff
 
     @staticmethod
-    def _coeff(value) -> ParamPoly:
-        """A scalar from outside as a coefficient."""
-        return value if isinstance(value, ParamPoly) else ParamPoly.const(value)
+    def _coeff(value):
+        """A scalar from outside as a coefficient, bare when constant."""
+        if isinstance(value, ParamPoly):
+            return _demote(value)
+        return ParamPoly._coeff(value)
 
     @staticmethod
     def _key(key):
@@ -218,8 +255,13 @@ class _Sparse:
 
     def substitute(self, bindings: dict):
         """Bind coefficient parameters (e.g. h -> 1), keeping the keys."""
-        bound = ((key, coeff.substitute(bindings)) for key, coeff in self.terms.items())
-        return self._new({key: coeff for key, coeff in bound if coeff})
+        terms = {}
+        for key, coeff in self.terms.items():
+            if type(coeff) is ParamPoly:
+                coeff = _demote(coeff.substitute(bindings))
+            if coeff:
+                terms[key] = coeff
+        return self._new(terms)
 
     def canonical_terms(self) -> list:
         """(key, coefficient) pairs in this type's term order."""
@@ -397,7 +439,12 @@ class ParamPoly(_Sparse):
         for factor in piece.split("*"):
             factor = factor.strip()
             if _NUMBER.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(
+                        f"zero denominator in polynomial factor {factor!r}"
+                    ) from None
                 continue
             m = _FACTOR.match(factor)
             if m is None:

@@ -484,14 +484,14 @@ def _random_diffop(rng: random.Random) -> DiffOp:
     terms = {}
     for _ in range(rng.randint(1, 5)):
         key = (rng.randint(0, 4), rng.randint(0, 4))
-        terms[key] = ParamPoly.const(rng.choice([-3, -2, -1, 1, 2, 3]))
+        terms[key] = rng.choice([-3, -2, -1, 1, 2, 3])
     return DiffOp(terms)
 
 
 def _random_poly1(rng: random.Random) -> Poly1:
     coeffs = {}
     for _ in range(rng.randint(1, 4)):
-        coeffs[rng.randint(0, 6)] = ParamPoly.const(rng.choice([-3, -1, 1, 2]))
+        coeffs[rng.randint(0, 6)] = rng.choice([-3, -1, 1, 2])
     return Poly1(coeffs)
 
 

@@ -155,6 +155,27 @@ def test_hermite_json(capsys):
     ]
 
 
+@pytest.mark.parametrize("path", ["operator", "recurrence_oracle", "explicit_sum"])
+def test_hermite_path_disagreement_fails(capsys, monkeypatch, path):
+    # one generation path goes wrong at degree 2: nothing is printed on stdout
+    import ncbinom.cli as cli
+    from ncbinom.diffop import Poly1, hermite, hermite_sequence
+
+    def off_at_two(value, k):
+        return value + Poly1.x_power(5) if k == 2 else value
+
+    if path == "explicit_sum":
+        monkeypatch.setattr(cli, "hermite", lambda k, via: off_at_two(hermite(k, via), k))
+    else:
+        monkeypatch.setattr(cli, "hermite_sequence", lambda n, via: (
+            off_at_two(value, k) if via == path else value
+            for k, value in enumerate(hermite_sequence(n, via))))
+    code, out, err = run(capsys, "hermite", "--n", "4")
+    assert code == 1
+    assert out == ""
+    assert err == "error: generation paths disagree at n=2\n"
+
+
 def test_gamma_lines(capsys):
     code, out, _ = run(capsys, "gamma", "--n", "3")
     assert code == 0

@@ -346,6 +346,8 @@ def test_malformed_system_names_the_missing_key():
          'rules entry 0 replacement missing "terms"'),
         ({"alphabet": [{"name": "A"}], "rules": [{"pair": "BA", "replacement": {}}]},
          'rules entry 0 "pair" must name two generators'),
+        ({"alphabet": 5}, '"alphabet" must be a list'),
+        ({"alphabet": [{"name": "A"}], "rules": 5}, '"rules" must be a list'),
     ]
     shape = 'must be {"terms": [{"coeff": "<text>", "word": [...]}, ...]}'
     numeric = json.loads(json.dumps(USER_SYSTEM))
@@ -356,10 +358,17 @@ def test_malformed_system_names_the_missing_key():
     unknown["rules"][0]["replacement"]["terms"][0]["word"] = ["X"]
     unparsable = json.loads(json.dumps(USER_SYSTEM))
     unparsable["rules"][0]["replacement"]["terms"][0]["coeff"] = "1 +* h"
+    zero_denominator = json.loads(json.dumps(USER_SYSTEM))
+    zero_denominator["rules"][0]["replacement"]["terms"][0]["coeff"] = "1/0"
+    spelled = json.loads(json.dumps(USER_SYSTEM))
+    spelled["rules"][0]["replacement"]["terms"][0]["word"] = "AB"
     cases += [(numeric, f"rules entry 0 replacement {shape}"),
               (listed, f"rules entry 0 replacement {shape}"),
               (unknown, "rules entry 0 replacement: unknown generator 'X'"),
-              (unparsable, "rules entry 0 replacement: cannot parse polynomial factor '1 +'")]
+              (unparsable, "rules entry 0 replacement: cannot parse polynomial factor '1 +'"),
+              (zero_denominator,
+               "rules entry 0 replacement: zero denominator in polynomial factor '1/0'"),
+              (spelled, f"rules entry 0 replacement {shape}")]
     for doc, message in cases:
         with pytest.raises(MalformedSystemError) as info:
             load_system(doc)

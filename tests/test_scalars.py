@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncbinom.diffop import DiffOp, Poly1
-from ncbinom.freealg import Algebra
+from ncbinom.binomial import closed_form_hsq
+from ncbinom.diffop import DiffOp, Poly1, lambda_expansion
+from ncbinom.freealg import Algebra, NCPoly
+from ncbinom.rewrite import load_system, make_family
 from ncbinom.scalars import ParamPoly, UnboundParameterError, binom, factorial
 
 
@@ -144,6 +147,77 @@ def test_integral_coefficients_are_ints():
     for whole in (half * 2, half + half):
         assert whole == ParamPoly.const(1) and whole.text() == "1"
         assert hash(whole.terms[()]) == hash(1)
+
+
+def _assert_stored_bare(value):
+    # the coefficient rule of NCPoly, Poly1 and DiffOp
+    for coeff in value.terms.values():
+        if isinstance(coeff, ParamPoly):
+            assert not coeff.is_constant(), f"constant ParamPoly stored in {value!r}"
+        else:
+            assert type(coeff) in (int, Fraction)
+
+
+def test_constant_coefficients_are_stored_bare():
+    rng = random.Random(6)
+    h, lam = ParamPoly.param("h"), ParamPoly.param("lam")
+    scalars = [1, -2, Fraction(1, 2), Fraction(3), ParamPoly.const(3),
+               ParamPoly.const(Fraction(-1, 3)), h, -h, 1 + h, h * lam]
+    alg = Algebra("A", "B", "C")
+    a = alg.gen("A")
+    pools = {
+        "NCPoly": [alg.gen("A"), alg.gen("B"), alg.gen("C"), alg.one()],
+        "DiffOp": [DiffOp.x(), DiffOp.d(), DiffOp.identity(), DiffOp.term(2, 1)],
+        "Poly1": [Poly1.one(), Poly1.x_power(1), Poly1.x_power(3)],
+    }
+    values = [h * a - h * a + a, (1 + h) * a - h * a, a * h + a * (1 - h),
+              closed_form_hsq(4).substitute({"h": 1}), lambda_expansion(5)]
+    for pool in pools.values():
+        for _ in range(150):
+            p = rng.choice(pool)
+            for _ in range(rng.randint(1, 4)):
+                s, q = rng.choice(scalars), rng.choice(pool)
+                p = rng.choice([p + s * q, p - s * q, p * q, s * p * q, q * p - s])
+            s = rng.choice(scalars)
+            values += [p, p - s * p + s * p, p + h * p - h * p,
+                       p.substitute({"h": 1}), p.substitute({"h": 0, "lam": 2})]
+    for p in values[:]:
+        if isinstance(p, NCPoly):
+            values.append(NCPoly.from_json(alg, p.to_json()))
+        elif isinstance(p, Poly1):
+            values.append(Poly1.from_json(p.to_json()))
+            values.append((DiffOp.x() - h * DiffOp.d()).apply(p))
+    system = load_system({
+        "alphabet": [{"name": "A"}, {"name": "B"}],
+        "rules": [{"pair": ["B", "A"], "replacement": {"terms": [
+            {"coeff": "1", "word": ["A", "B"]},
+            {"coeff": "-1 + h + 1", "word": ["A"]},
+            {"coeff": "1/2", "word": []}]}}],
+    })
+    sa, sb = system.gen("A"), system.gen("B")
+    values += list(system.rules.values())
+    values += [system.normal_form((sa + h * sb - h * sb + sb) ** 4),
+               system.power(sa + sb, 4), make_family("hsq").power(sa + sb, 4)]
+    for p in values:
+        _assert_stored_bare(p)
+
+    # the public accessors box a bare coefficient
+    p = 3 * a + h * alg.gen("B")
+    assert type(p.coefficient(alg.word("A"))) is ParamPoly
+    assert type(p.coefficient(alg.word("C"))) is ParamPoly
+    assert type(Poly1.one().coefficient(0)) is ParamPoly
+    assert p.coefficient(alg.word("A")) == 3 and 3 == p.coefficient(alg.word("A"))
+    assert 3 == ParamPoly.const(3) and ParamPoly.const(3) == 3
+    # a coefficient stored as the Fraction 3 renders like the int 3
+    as_fraction = a * Fraction(3, 2) * 2
+    assert type(as_fraction.terms[alg.word("A")]) is Fraction
+    assert type((3 * a).terms[alg.word("A")]) is int
+    assert as_fraction == 3 * a
+    assert as_fraction.text() == (3 * a).text() == "3*A"
+    assert as_fraction.to_json() == (3 * a).to_json()
+    poly = Poly1.x_power(2) * Fraction(3, 2) * 2
+    assert poly.text() == (3 * Poly1.x_power(2)).text()
+    assert poly.to_json() == (3 * Poly1.x_power(2)).to_json()
 
 
 def test_degree_and_parameters():
