@@ -19,8 +19,6 @@ import operator
 from .freealg import NCPoly
 from .scalars import ParamPoly, _add_term, _box, _scalar_text, _Sparse, pairings
 
-HERMITE_PATHS = ("operator", "explicit_sum", "recurrence_oracle")
-
 
 class Poly1(_Sparse):
     """Sparse polynomial in x: map degree -> coefficient, no zero entries.
@@ -145,7 +143,7 @@ class DiffOp(_Sparse):
 def realize(p: NCPoly, mapping: dict[str, DiffOp]) -> DiffOp:
     """Interpret a free-algebra element as an operator, word by word."""
     total = DiffOp.zero()
-    for word, coeff in p.terms.items():
+    for word, coeff in p.items():
         op = DiffOp.identity()
         for g in word:
             op = op.compose(mapping[g.name])

@@ -1,8 +1,12 @@
 """The free associative algebra with identity over the parameter ring.
 
-Words are tuples of generators, polynomials are sparse maps word ->
-coefficient, a bare ``int`` or ``Fraction`` when constant and a ``ParamPoly``
-otherwise (see :mod:`ncbinom.scalars`).  No relations are applied here:
+Polynomials are sparse maps word -> coefficient, a bare ``int`` or
+``Fraction`` when constant and a ``ParamPoly`` otherwise (see
+:mod:`ncbinom.scalars`).  A word is a tuple of generators at the API and a
+packed ``str`` as a ``terms`` key, one character ``chr(generator.index)``
+per letter, so ``(len(w), w)`` sorts keys in the canonical term order:
+length, then declaration order.  ``Algebra.pack`` and ``NCPoly.items``
+convert between the two.  No relations are applied here:
 ``A*B`` and ``B*A`` stay distinct words, which is what makes structural
 equality of term maps semantic equality.  Quotients by commutation relations
 live in :mod:`ncbinom.rewrite`.
@@ -18,11 +22,9 @@ from .scalars import ContextMismatchError, ParamPoly, _box, _scalar_text, _Spars
 
 
 class Generator(NamedTuple):
-    """One symbol of the alphabet; ``central`` marks it as commuting with
-    everything (only the rewrite layer acts on this flag).
-
-    A tuple, so a word hashes and compares letter by letter in C.
-    """
+    """One letter of the alphabet as the API shows it, packed to
+    ``chr(index)`` in a ``terms`` key; ``central`` marks it as commuting
+    with everything (only the rewrite layer acts on this flag)."""
 
     name: str
     central: bool = False
@@ -33,35 +35,18 @@ class Generator(NamedTuple):
 Word = tuple[Generator, ...]
 
 
-_NAME = operator.itemgetter(0)
-_INDEX = operator.itemgetter(2)
-
-
-def word_key(word: Word):
-    """Canonical order: length first, then generator declaration order."""
-    return (len(word), tuple(map(_INDEX, word)))
-
-
-def _as_word(word) -> Word:
-    """A sequence of generators as a word.
-
-    A bare generator is itself a tuple, so it is refused here rather than
-    read as a word of its fields.
-    """
-    if isinstance(word, Generator):
-        raise TypeError(f"expected a word (a tuple of generators), got generator {word.name!r}")
-    return tuple(word)
+def _run_length(word, name) -> str:
+    """Run-length rendering of a word of any letter type, named by ``name``."""
+    parts = []
+    for letter, run in itertools.groupby(word):
+        count = len(list(run))
+        parts.append(name(letter) if count == 1 else f"{name(letter)}^{count}")
+    return "*".join(parts) or "1"
 
 
 def word_text(word: Word) -> str:
     """Run-length rendering, e.g. ``A^2*B``; the empty word is ``1``."""
-    if not word:
-        return "1"
-    parts = []
-    for name, run in itertools.groupby(map(_NAME, word)):
-        count = sum(1 for _ in run)
-        parts.append(name if count == 1 else f"{name}^{count}")
-    return "*".join(parts)
+    return _run_length(word, operator.itemgetter(0))
 
 
 class Algebra:
@@ -71,7 +56,7 @@ class Algebra:
     independently from the same description interoperate.
     """
 
-    __slots__ = ("generators", "_by_name")
+    __slots__ = ("generators", "_by_name", "_codes", "_names")
 
     def __init__(self, *names: str, central=()):
         central = frozenset(central)
@@ -84,6 +69,8 @@ class Algebra:
             Generator(name, name in central, i) for i, name in enumerate(names)
         )
         self._by_name = {g.name: g for g in self.generators}
+        self._codes = {g: chr(g.index) for g in self.generators}
+        self._names = {chr(g.index): g.name for g in self.generators}
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
@@ -111,27 +98,56 @@ class Algebra:
     def word(self, *names: str) -> Word:
         return tuple(self.generator(name) for name in names)
 
+    def pack(self, word: Word) -> str:
+        """A word of this algebra's generators as a packed ``terms`` key.
+
+        A generator of another alphabet raises ``ValueError`` rather than
+        being read as the letter at its index.  A bare generator is itself a
+        tuple, so it is refused rather than read as a word of its fields.
+        """
+        if isinstance(word, Generator):
+            raise TypeError(f"expected a word (a tuple of generators), got generator {word.name!r}")
+        try:
+            return "".join([self._codes[g] for g in word])
+        except KeyError as exc:
+            name = getattr(exc.args[0], "name", exc.args[0])
+            raise ValueError(f"generator {name!r} is not in this algebra") from None
+
+    def unpack(self, key: str) -> Word:
+        """A packed ``terms`` key as a word of generators."""
+        return tuple(map(self.generators.__getitem__, map(ord, key)))
+
+    def _poly(self, terms: dict) -> NCPoly:
+        """A polynomial over packed, already pruned terms."""
+        new = object.__new__(NCPoly)
+        new.algebra = self
+        new.terms = terms
+        return new
+
     def gen(self, name: str) -> NCPoly:
         """The generator as a polynomial atom."""
-        return NCPoly(self, {(self.generator(name),): 1})
+        return self._poly({chr(self.generator(name).index): 1})
 
     def zero(self) -> NCPoly:
-        return NCPoly(self, {})
+        return self._poly({})
 
     def one(self) -> NCPoly:
-        return NCPoly(self, {(): 1})
+        return self._poly({"": 1})
 
     def from_terms(self, terms) -> NCPoly:
         """Build a polynomial from (word, coefficient) pairs, merging duplicates."""
         acc: dict = {}
         for word, coeff in terms:
-            word = _as_word(word)
-            acc[word] = acc.get(word, 0) + coeff
-        return NCPoly(self, acc)
+            key = self.pack(word)
+            acc[key] = acc.get(key, 0) + coeff
+        return self._poly({key: c for key, value in acc.items() if (c := NCPoly._coeff(value))})
 
 
 class NCPoly(_Sparse):
     """Finite sum of words weighted by scalars of the parameter ring; immutable.
+
+    ``terms`` is keyed by packed words (see :meth:`Algebra.pack`);
+    :meth:`items` reads them back as words of generators.
 
     A constant weight is stored as a bare ``int`` or ``Fraction``, any other
     as a ``ParamPoly``.
@@ -142,27 +158,37 @@ class NCPoly(_Sparse):
 
     __slots__ = ("algebra",)
 
+    _UNIT = ""
     _key_mul = staticmethod(operator.add)
-    _key_text = staticmethod(word_text)
-    _order = staticmethod(word_key)
+    _order = staticmethod(lambda key: (len(key), key))
 
     def __init__(self, algebra: Algebra, terms: dict):
+        """Build from a word -> scalar map; the words are packed."""
         self.algebra = algebra
         super().__init__(terms)
 
+    def _key(self, word: Word) -> str:
+        return self.algebra.pack(word)
+
     def _new(self, terms: dict) -> NCPoly:
-        new = object.__new__(NCPoly)
-        new.algebra = self.algebra
-        new.terms = terms
-        return new
+        return self.algebra._poly(terms)
 
     def _same_context(self, other: NCPoly) -> bool:
         return self.algebra == other.algebra
+
+    def _key_text(self, key: str) -> str:
+        return _run_length(key, self.algebra._names.__getitem__)
 
     # Bound here, not only inherited, so that per-class tracing
     # (perfbench/tracer.py) counts products and renders.
     __mul__ = _Sparse.__mul__
     text = _Sparse.text
+
+    def items(self):
+        """Yield (word of generators, stored coefficient) for each term."""
+        unpack = self.algebra.unpack
+        for key, coeff in self.terms.items():
+            yield unpack(key), coeff
 
     def degree(self) -> int | None:
         """Maximal word length, or None for the zero polynomial."""
@@ -175,14 +201,19 @@ class NCPoly(_Sparse):
         return self._new({w: c for w, c in self.terms.items() if len(w) <= max_degree})
 
     def coefficient(self, word: Word) -> ParamPoly:
-        """The coefficient of ``word``, always as a ``ParamPoly``."""
-        return _box(self.terms.get(_as_word(word), 0))
+        """The coefficient of ``word``, always as a ``ParamPoly``; 0 for a
+        word with a letter from another alphabet."""
+        try:
+            return _box(self.terms.get(self.algebra.pack(word), 0))
+        except ValueError:
+            return _box(0)
 
     def to_json(self) -> dict:
+        name = self.algebra._names.__getitem__
         return {
             "terms": [
-                {"coeff": _scalar_text(coeff), "word": list(map(_NAME, word))}
-                for word, coeff in self.canonical_terms()
+                {"coeff": _scalar_text(coeff), "word": list(map(name, key))}
+                for key, coeff in self.canonical_terms()
             ]
         }
 

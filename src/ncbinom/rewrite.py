@@ -17,6 +17,10 @@ The default reducer multiplies in the quotient: it pushes one letter at a
 time into an already-normal word, memoizing nf(letter * word) for the length
 of one call.  The worklist reducer ("leftmost"/"rightmost") rewrites whole
 words redex by redex and stays as the independent oracle.
+
+The reducers read the packed ``str`` words of :mod:`ncbinom.freealg`, each
+letter recoded to its alphabet position by one ``str.translate`` per word,
+or not at all when central letters are declared first, as in the built-ins.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .freealg import Algebra, ContextMismatchError, Generator, NCPoly, Word
+from .freealg import Algebra, ContextMismatchError, Generator, NCPoly
 from .scalars import ParamPoly, _add_term
 
 DEFAULT_BUDGET = 10**6
@@ -46,18 +50,17 @@ class BudgetExceededError(RewriteError):
     """The rule-application budget ran out before the normal form was reached.
 
     Validated systems terminate, so this means the input needs a larger
-    budget, not that the rules loop.
+    budget, not that the rules loop.  ``steps`` counts the rule applications
+    up to the refused one, and ``word`` names the word it would rewrite.
     """
+
+    def __init__(self, budget: int, steps: int, word: str):
+        super().__init__(f"budget of {budget} rule applications too small for this input")
+        self.budget, self.steps, self.word = budget, steps, word
 
 
 class MalformedSystemError(RewriteError, ValueError):
     """A system document does not follow the ``load_system`` schema."""
-
-
-def _budget_exceeded(budget: int) -> BudgetExceededError:
-    return BudgetExceededError(
-        f"budget of {budget} rule applications too small for this input"
-    )
 
 
 @dataclass
@@ -93,10 +96,11 @@ class RelationSystem:
     ``(later, earlier)`` to its normal-form replacement polynomial.
     Immutable after construction; ``normal_form`` is pure.
 
-    Both reducers, ``power`` and ``validate`` read words coded as tuples of
-    alphabet positions: a coded word is normal iff it is non-decreasing, and
-    its central letters are the positions below ``n_central``.  ``validate``
-    compiles the rules once into ``{(later, earlier): [(coded word, coeff)]}``.
+    Both reducers, ``power`` and ``validate`` read coded words: a packed
+    word whose letters are recoded to ``chr(alphabet position)``.  A coded
+    word is normal iff its letters are non-decreasing, and its central
+    letters are those below ``chr(n_central)``.  ``validate`` compiles the
+    rules once into ``{(later, earlier): [(coded word, coeff)]}``.
     """
 
     def __init__(self, algebra: Algebra, rules: dict[tuple[str, str], NCPoly],
@@ -107,33 +111,43 @@ class RelationSystem:
         self.alphabet: tuple[Generator, ...] = tuple(
             sorted(algebra.generators, key=lambda g: (not g.central, g.index))
         )
-        self._rank = [0] * len(self.alphabet)  # generator index -> position
-        for pos, g in enumerate(self.alphabet):
-            self._rank[g.index] = pos
         self.n_central = sum(1 for g in self.alphabet if g.central)
+        # generator or packed letter -> alphabet position
+        self._positions = {k: pos for pos, g in enumerate(self.alphabet) for k in (g, chr(g.index))}
+        # translate tables between packed letters (declaration index) and
+        # coded ones (alphabet position); None when the two orders agree
+        order = "".join(chr(g.index) for g in self.alphabet)
+        self._to_code = self._from_code = None
+        if order != "".join(sorted(order)):
+            self._to_code = order.maketrans(order, "".join(map(chr, range(len(order)))))
+            self._from_code = order
         self.rules = dict(rules)
         self._report: ValidationReport | None = None
-        self._compiled: dict[tuple[int, int], list] = {}
+        self._compiled: dict[tuple[str, str], list] = {}
 
     def gen(self, name: str) -> NCPoly:
         return self.algebra.gen(name)
 
-    def position(self, gen: Generator) -> int:
-        pos = self._rank[gen.index]
-        if self.alphabet[pos] != gen:
-            raise KeyError(f"generator {gen.name!r} is not in this system")
-        return pos
+    def position(self, letter: Generator | str) -> int:
+        """The alphabet position of a generator or of a packed letter."""
+        try:
+            return self._positions[letter]
+        except KeyError:
+            name = getattr(letter, "name", letter)
+            raise KeyError(f"generator {name!r} is not in this system") from None
 
-    def _encode(self, word: Word) -> tuple[int, ...]:
-        rank = self._rank
-        return tuple(rank[g.index] for g in word)
+    def _encode(self, terms: dict):
+        """The (coded word, coeff) pairs of a packed term map."""
+        table = self._to_code
+        return terms.items() if table is None else [
+            (word.translate(table), c) for word, c in terms.items()]
 
     def _decode(self, terms: dict) -> NCPoly:
-        alphabet = self.alphabet
-        return NCPoly(
-            self.algebra,
-            {tuple(alphabet[i] for i in word): c for word, c in terms.items()},
-        )
+        """The polynomial of a coded, already pruned term map."""
+        table = self._from_code
+        if table is not None:
+            terms = {word.translate(table): c for word, c in terms.items()}
+        return self.algebra._poly(terms)
 
     def validate(self) -> ValidationReport:
         """Check rule coverage, normal-form replacements, and admissibility.
@@ -162,9 +176,9 @@ class RelationSystem:
                     and self.algebra.has_generator(earlier_name)):
                 violations.append(f"{label}: unknown generator in pair")
                 continue
-            later = self.position(self.algebra.generator(later_name))
-            earlier = self.position(self.algebra.generator(earlier_name))
-            if min(later, earlier) < self.n_central:
+            later = chr(self.position(self.algebra.generator(later_name)))
+            earlier = chr(self.position(self.algebra.generator(earlier_name)))
+            if min(later, earlier) < chr(self.n_central):
                 violations.append(
                     f"{label}: central generators commute implicitly, no rule allowed"
                 )
@@ -177,21 +191,20 @@ class RelationSystem:
                 continue
             pair_multiset = Counter((later, earlier))
             rule = compiled[(later, earlier)] = []
-            for word, coeff in replacement.canonical_terms():
-                coded = self._encode(word)
+            for coded, coeff in self._encode(dict(replacement.canonical_terms())):
                 rule.append((coded, coeff))
-                if list(coded) != sorted(coded):
+                name = "".join(self.alphabet[ord(i)].name for i in coded) or "1"
+                if coded != "".join(sorted(coded)):
                     violations.append(
-                        f"{label}: replacement term '{_word_name(word)}' "
-                        "is not in normal form"
+                        f"{label}: replacement term '{name}' is not in normal form"
                     )
-                if coded == (earlier, later):
+                if coded == earlier + later:
                     continue
-                term_multiset = Counter(i for i in coded if i >= self.n_central)
+                term_multiset = Counter(i for i in coded if i >= chr(self.n_central))
                 degree_drops = sum(term_multiset.values()) < 2  # letters in the pair
                 if not (degree_drops or _dm_smaller(term_multiset, pair_multiset)):
                     violations.append(
-                        f"{label}: replacement term '{_word_name(word)}' "
+                        f"{label}: replacement term '{name}' "
                         "decreases neither the inversion count nor the "
                         "non-central letter multiset"
                     )
@@ -206,7 +219,7 @@ class RelationSystem:
         return self._report
 
     @staticmethod
-    def _find_redex(word: tuple[int, ...], strategy: str, start: int) -> int | None:
+    def _find_redex(word: str, strategy: str, start: int) -> int | None:
         """The leftmost redex at or after ``start``, or the rightmost before it."""
         if strategy == "rightmost":
             positions = reversed(range(min(start, len(word) - 1)))
@@ -238,7 +251,7 @@ class RelationSystem:
         counts each rule it applies to a new (letter, word) pair.
         """
         self._check_input(p)
-        coded = [(self._encode(word), coeff) for word, coeff in p.terms.items()]
+        coded = self._encode(p.terms)
         if strategy == "memo":
             return self._decode(_Reducer(self, budget).reduce(coded))
         if strategy not in ("leftmost", "rightmost"):
@@ -249,6 +262,7 @@ class RelationSystem:
         # after a rightmost one, so only the seam around the rewritten pair
         # needs scanning again.
         leftmost = strategy == "leftmost"
+        central = chr(self.n_central)
         acc: dict = {}
         work = [(word, coeff, 0 if leftmost else len(word)) for word, coeff in coded]
         steps = 0
@@ -260,12 +274,12 @@ class RelationSystem:
                 continue
             steps += 1
             if steps > budget:
-                raise _budget_exceeded(budget)
+                raise BudgetExceededError(budget, steps, self._decode({word: 1}).text())
             left, right = word[:i], word[i + 2:]
             x, y = word[i], word[i + 1]
-            if y < self.n_central:
+            if y < central:
                 # a central letter in a redex is always its y: a plain swap
-                rewritten = [((y, x), coeff)]
+                rewritten = [(y + x, coeff)]
             else:
                 rewritten = [(w, coeff * c) for w, c in self._compiled[(x, y)]]
             for rword, rcoeff in rewritten:
@@ -283,8 +297,8 @@ class RelationSystem:
         if n < 0:
             raise ValueError("negative powers are not defined")
         reducer = _Reducer(self, budget)
-        factor = [(self._encode(word), coeff) for word, coeff in p.terms.items()]
-        result: dict = {(): 1}
+        factor = self._encode(p.terms)
+        result: dict = {"": 1}
         for _ in range(n):
             result = reducer.reduce(
                 (w + u, c * cu) for w, c in factor for u, cu in result.items()
@@ -303,19 +317,20 @@ class RelationSystem:
 class _Reducer:
     """Memoized normal forms for one call of ``normal_form`` or ``power``.
 
-    Words are coded as in ``RelationSystem``.  Central letters are moved
-    into place without rules or memo entries.  ``memo[(g, u)]`` holds
-    nf(g * u) for a non-central letter g and a normal word u free of central
-    letters with u[0] < g; every entry is one rule application against the
-    budget.
+    Words are coded as in ``RelationSystem``, each letter a one-character
+    string.  Central letters are moved into place without rules or memo
+    entries.  ``memo[(g, u)]`` holds nf(g * u) for a non-central letter g
+    and a normal word u free of central letters with u[0] < g; every entry
+    is one rule application against the budget.
     """
 
     def __init__(self, system: RelationSystem, budget: int):
+        self.system = system
         self.compiled = system._compiled
-        self.n_central = system.n_central
+        self.central = chr(system.n_central)  # the first non-central letter
         self.budget = budget
         self.steps = 0
-        self.memo: dict[tuple[int, tuple[int, ...]], dict] = {}
+        self.memo: dict[tuple[str, str], dict] = {}
 
     def reduce(self, terms) -> dict:
         """nf of the coded (word, coeff) pairs, folding shared prefixes together.
@@ -327,7 +342,7 @@ class _Reducer:
         words below it.
         """
         acc: dict = {}
-        levels: list[dict] = [{(): acc}]  # levels[d][prefix of length d]
+        levels: list[dict] = [{"": acc}]  # levels[d][prefix of length d]
         for word, coeff in terms:
             cut = len(word) - 1
             while cut > 0 and word[cut - 1] <= word[cut]:
@@ -374,29 +389,30 @@ class _Reducer:
                 continue
             self.steps += 1
             if self.steps > self.budget:
-                raise _budget_exceeded(self.budget)
+                word = self.system._decode({need[0] + need[1]: 1}).text()
+                raise BudgetExceededError(self.budget, self.steps, word)
             stack.append((need, self._push(*need)))
             value = None  # a new generator starts on None
 
-    def _fold(self, letters: tuple[int, ...], terms: dict):
+    def _fold(self, letters: str, terms: dict):
         memo = self.memo
-        n_central = self.n_central
+        central = self.central
         for g in reversed(letters):
             pushed: dict = {}
             for w, c in terms.items():
                 if not w or g <= w[0]:
-                    _add_term(pushed, (g,) + w, c)
+                    _add_term(pushed, g + w, c)
                     continue
-                if g < n_central:
+                if g < central:
                     # central letters commute with everything: insert in order
                     i = bisect_right(w, g)
-                    _add_term(pushed, w[:i] + (g,) + w[i:], c)
+                    _add_term(pushed, w[:i] + g + w[i:], c)
                     continue
                 # g commutes past the central prefix; only the rest is rewritten
-                k = bisect_left(w, n_central)
+                k = bisect_left(w, central)
                 head, u = w[:k], w[k:]
                 if not u or g <= u[0]:
-                    _add_term(pushed, head + (g,) + u, c)
+                    _add_term(pushed, head + g + u, c)
                     continue
                 value = memo.get((g, u))
                 if value is None:
@@ -404,13 +420,12 @@ class _Reducer:
                 for r, cr in value.items():
                     if head:
                         # merge the prefix with any central letters r starts with
-                        central = r and r[0] < n_central
-                        r = tuple(sorted(head + r)) if central else head + r
+                        r = "".join(sorted(head + r)) if r and r[0] < central else head + r
                     _add_term(pushed, r, c * cr)
             terms = pushed
         return terms
 
-    def _push(self, g: int, u: tuple[int, ...]):
+    def _push(self, g: str, u: str):
         """nf(g * u) for a non-central u[0] < g.
 
         Applies the rule for the pair (g, u[0]) and folds each replacement
@@ -422,10 +437,6 @@ class _Reducer:
             for r, c in terms.items():
                 _add_term(out, r, c)
         return out
-
-
-def _word_name(word: Word) -> str:
-    return "".join(g.name for g in word) if word else "1"
 
 
 def make_family(family: str) -> RelationSystem:

@@ -242,7 +242,7 @@ def test_expansion_report_incompatibilities():
 
 def test_weyl_coefficient_value_type():
     value = weyl_coefficient(6, 2)
-    ((word, coeff),) = value.terms.items()
+    ((word, coeff),) = value.items()
     assert all(g.name == "C" for g in word) and len(word) == 2
     assert coeff == Fraction(6 * 5 * 4 * 3, 8)
 

@@ -170,7 +170,7 @@ def test_compose_matches_weyl_quotient():
     for _ in range(200):
         p = random_ncpoly(rng, weyl.algebra, max_degree=5)
         expected = DiffOp.zero()
-        for word, coeff in weyl.normal_form(p).terms.items():
+        for word, coeff in weyl.normal_form(p).items():
             names = [g.name for g in word]
             key = (names.count("A"), names.count("B"))
             expected = expected + coeff * DiffOp.term(*key)

@@ -11,6 +11,7 @@ from ncbinom.freealg import (
     twisted_powers,
     word_text,
 )
+from ncbinom.rewrite import make_family
 from ncbinom.scalars import ParamPoly
 
 ALG = Algebra("A", "B", "C")
@@ -159,6 +160,29 @@ def test_bare_generator_is_not_a_word():
         alg.from_terms([(alg.generator("A"), 1)])
     assert p.coefficient((alg.generator("B"),)) == ParamPoly.const(2)
     assert alg.from_terms([([alg.generator("A")], 1)]) == alg.gen("A")
+
+
+def test_foreign_generators_are_refused():
+    xy = Algebra("X", "Y")
+    with pytest.raises(ValueError, match="generator 'X' is not in this algebra"):
+        Algebra("A", "B").from_terms([(xy.word("X", "Y"), 2)])
+    # X has C's index under weyl; it must not be read as C
+    weyl = make_family("weyl")
+    with pytest.raises(ValueError, match="generator 'X' is not in this algebra"):
+        weyl.normal_form(weyl.algebra.from_terms([(xy.word("X"), 1)]))
+    with pytest.raises(ValueError, match="generator 'X' is not in this algebra"):
+        NCPoly(ALG, {xy.word("X"): 1})
+    p = 3 * A * B + C
+    assert p.coefficient(xy.word("X", "Y")) == 0
+    assert p.coefficient(xy.word("X")) == 0
+
+
+@given(ncpolys(max_degree=5))
+@settings(deadline=None)
+def test_canonical_terms_follow_declaration_order(p):
+    by_index = sorted(p.items(), key=lambda item: (len(item[0]), [g.index for g in item[0]]))
+    assert [(ALG.unpack(key), c) for key, c in p.canonical_terms()] == by_index
+    assert [ALG.pack(word) for word, _ in by_index] == [key for key, _ in p.canonical_terms()]
 
 
 def test_powers_are_the_prefix_of_pow():

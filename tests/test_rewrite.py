@@ -114,7 +114,7 @@ def test_normal_form_sorted_and_idempotent():
         for _ in range(40):
             p = random_ncpoly(rng, system.algebra, max_degree=5)
             nf = system.normal_form(p)
-            for word in nf.terms:
+            for word, _ in nf.items():
                 ranks = [position[g] for g in word]
                 assert ranks == sorted(ranks)
             assert system.normal_form(nf) == nf
@@ -241,6 +241,25 @@ def _three_centrals():
     return RelationSystem(alg, {("B", "A"): a * b + 2 * d - c})
 
 
+def test_packed_letters_under_a_reordered_alphabet():
+    # The README system declares its central letter last, so its packed
+    # letters are translated to alphabet positions and back.
+    system = load_system(USER_SYSTEM)
+    assert [g.name for g in system.alphabet] == ["C", "A", "B"]
+    rng = random.Random(23)
+    for _ in range(60):
+        p = random_ncpoly(rng, system.algebra, max_degree=6, max_terms=5)
+        nf = system.normal_form(p)
+        assert nf == system.normal_form(p, strategy="leftmost")
+        assert nf == system.normal_form(p, strategy="rightmost")
+        for value in (p, nf):
+            for key, (word, _) in zip(value.terms, value.items()):
+                positions = [system.position(letter) for letter in key]
+                assert positions == [system.position(g) for g in word]
+                if value is nf:
+                    assert positions == sorted(positions)
+
+
 def test_memo_reducer_matches_worklist_on_random_inputs():
     rng = random.Random(17)
     for system in _systems() + [_sl2(), _three_centrals()]:
@@ -312,6 +331,24 @@ def test_budget_message_names_the_budget():
         )
     with pytest.raises(BudgetExceededError):
         hsq.power(a + b, 6, budget=3)
+
+
+def test_budget_error_carries_its_facts():
+    hsq = make_family("hsq")
+    a, b = hsq.gen("A"), hsq.gen("B")
+    # the memo reducer stops inside the push of B into A, the worklist at
+    # the word it would rewrite next
+    for strategy, word in (("memo", "B*A"), ("leftmost", "B*A*B^2*A^2"),
+                           ("rightmost", "B^2*A^2*B*A")):
+        with pytest.raises(BudgetExceededError) as info:
+            hsq.normal_form(b ** 3 * a ** 3, budget=2, strategy=strategy)
+        assert (info.value.budget, info.value.steps, info.value.word) == (2, 3, word)
+    # under a reordered alphabet the word is still rendered by generator name
+    user = load_system(USER_SYSTEM)
+    a, b, c = (user.gen(name) for name in "ABC")
+    with pytest.raises(BudgetExceededError) as info:
+        user.normal_form(b * b * a * a * c, budget=1, strategy="leftmost")
+    assert (info.value.budget, info.value.steps, info.value.word) == (1, 2, "B*A*B*A*C")
 
 
 # Rule applications to reduce (A+B)^n, per reducer, for n = 4, 5, ...
