@@ -7,6 +7,8 @@ together with the closed forms they specialize to when the commutator [B, A]
 is h*A^2 (gamma coefficients) or a central element C (Weyl-style).
 
 The brute-force oracle throughout is ``(a + b) ** n`` in the free algebra.
+Each function computes one path; the D_k recurrence and the Weyl coefficient
+triangle that check them are private to :mod:`ncbinom.verify`.
 """
 
 from __future__ import annotations
@@ -90,24 +92,13 @@ def twisted_expand(n: int, algebra: Algebra | None = None) -> NCPoly:
     return total
 
 
-def essential_part(k: int, via: str = "difference",
-                   algebra: Algebra | None = None) -> NCPoly:
+def essential_part(k: int, algebra: Algebra | None = None) -> NCPoly:
     """D_k = (A+d_B)^k 1 - A^k, the deviation from the commutative power.
 
-    via="difference" subtracts the plain power from the twisted power;
-    via="recurrence" builds D_{j+1} = d_B(A^j) + (A + d_B) D_j from D_0 = 0.
-    Both paths agree; D_0 = D_1 = 0 and D_k vanishes identically whenever
-    A and B commute.
+    D_0 = D_1 = 0, and D_k vanishes identically whenever A and B commute.
     """
     algebra, a, b = _ab(algebra)
-    if via == "difference":
-        return twisted_power(a, b, k) - a ** k
-    if via == "recurrence":
-        d = algebra.zero()
-        for j in range(k):
-            d = commutator(b, a ** j) + a * d + commutator(b, d)
-        return d
-    raise ValueError(f"unknown via {via!r}")
+    return twisted_power(a, b, k) - a ** k
 
 
 def essential_expand(n: int, algebra: Algebra | None = None) -> NCPoly:
@@ -157,31 +148,14 @@ def closed_form_hsq(n: int, algebra: Algebra | None = None) -> NCPoly:
     return _ordered_sum([binom(n, k) * gamma_factor(k) for k in range(n + 1)], algebra)
 
 
-def weyl_coefficient(n: int, k: int, via: str = "closed",
-                     algebra: Algebra | None = None) -> NCPoly:
-    """Central coefficient n!/((n-2k)! k! 2^k) * C^k of the Weyl closed form.
-
-    via="closed" evaluates that quotient directly; via="recurrence" builds
-    the triangle row by row from the seed value 1 at k=0.
-    """
+def weyl_coefficient(n: int, k: int, algebra: Algebra | None = None) -> NCPoly:
+    """Central coefficient n!/((n-2k)! k! 2^k) * C^k of the Weyl closed form."""
     if algebra is None:
         algebra = weyl_triple()
     if k < 0 or 2 * k > n:
         raise ValueError(f"k must satisfy 0 <= 2k <= n, got n={n}, k={k}")
-    if via == "closed":
-        word = (algebra.generator("C"),) * k
-        return NCPoly(algebra, {word: pairings(n, k)})
-    if via == "recurrence":
-        c = algebra.gen("C")
-        row = {0: algebra.one()}
-        for m in range(n):
-            new = {0: algebra.one()}
-            for j in range(1, (m + 1) // 2 + 1):
-                term = row.get(j, algebra.zero())
-                new[j] = term + (m + 2 - 2 * j) * c * row[j - 1]
-            row = new
-        return row[k]
-    raise ValueError(f"unknown via {via!r}")
+    word = (algebra.generator("C"),) * k
+    return NCPoly(algebra, {word: pairings(n, k)})
 
 
 def closed_form_weyl(n: int, algebra: Algebra | None = None) -> NCPoly:
@@ -194,9 +168,7 @@ def closed_form_weyl(n: int, algebra: Algebra | None = None) -> NCPoly:
         algebra = weyl_triple()
     total = algebra.zero()
     for k in range(n // 2 + 1):
-        total = total + m_basis(n - 2 * k, algebra) * weyl_coefficient(
-            n, k, algebra=algebra
-        )
+        total = total + m_basis(n - 2 * k, algebra) * weyl_coefficient(n, k, algebra)
     return total
 
 

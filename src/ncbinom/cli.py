@@ -21,10 +21,9 @@ from .binomial import (
     gamma_factor,
     weyl_m_text,
 )
-from .diffop import hermite, hermite_sequence
 from .rewrite import BudgetExceededError, InvalidSystemError
 from .scalars import factorial
-from .verify import SUITES, run_suite
+from .verify import SUITES, hermite_paths, run_suite
 
 
 def _print_json(doc: dict) -> None:
@@ -64,16 +63,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hermite(args) -> int:
-    if args.n < 0:
-        raise ValueError("n must be non-negative")
-    values = []
-    paths = zip(hermite_sequence(args.n, "operator"),
-                hermite_sequence(args.n, "recurrence_oracle"))
-    for k, (operator, recurrence) in enumerate(paths):
-        if operator != hermite(k, "explicit_sum") or operator != recurrence:
-            print(f"error: generation paths disagree at n={k}", file=sys.stderr)
-            return 1
-        values.append(operator)
+    values, disagreement = hermite_paths(args.n)
+    if disagreement is not None:
+        print(f"error: generation paths disagree at n={disagreement['n']}", file=sys.stderr)
+        return 1
     for value in values:
         if args.format == "json":
             _print_json(value.to_json())
@@ -173,8 +166,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IncompatibleRelationError, InvalidSystemError, FileNotFoundError,
-            json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (IncompatibleRelationError, InvalidSystemError, OSError,
+            KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

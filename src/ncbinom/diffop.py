@@ -8,7 +8,8 @@ action exact and equality decidable.
 
 This realizes the abstract expansions: A = x with B = lam*D gives a central
 commutator [B, A] = lam, and B = x^2*D gives [B, A] = A^2.  Iterating
-(x - D) on the seed 1 generates the probabilists' Hermite polynomials.
+(x - D) on the seed 1 generates the probabilists' Hermite polynomials; the
+paths that check them are private to :mod:`ncbinom.verify`.
 """
 
 from __future__ import annotations
@@ -151,46 +152,28 @@ def realize(p: NCPoly, mapping: dict[str, DiffOp]) -> DiffOp:
     return total
 
 
-def hermite_sequence(n: int, via: str = "operator"):
-    """Yield He_0 .. He_n, each element one step from the one before it.
-
-    ``via`` is "operator" or "recurrence_oracle", the two stepwise paths of
-    :func:`hermite`.
-    """
+def hermite_sequence(n: int):
+    """Yield He_0 .. He_n as (x - D)^j 1, each power one step from the one before."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if via == "operator":
-        one = Poly1.one()
-        for power in (DiffOp.x() - DiffOp.d()).powers(n):
-            yield power.apply(one)
-    elif via == "recurrence_oracle":
-        x = Poly1.x_power(1)
-        prev, cur = Poly1.zero(), Poly1.one()
-        yield cur
-        for m in range(n):
-            prev, cur = cur, x * cur - m * prev
-            yield cur
-    else:
-        raise ValueError(f"unknown via {via!r}")
+    one = Poly1.one()
+    for power in (DiffOp.x() - DiffOp.d()).powers(n):
+        yield power.apply(one)
 
 
 def hermite(n: int, via: str = "operator") -> Poly1:
-    """Probabilists' Hermite polynomial He_n.
+    """Probabilists' Hermite polynomial He_n = (x - D)^n 1.
 
-    via="operator" composes (x - D)^n and applies it to 1;
-    via="explicit_sum" evaluates n! sum_k (-1)^k x^(n-2k)/((n-2k)! k! 2^k);
-    via="recurrence_oracle" iterates He_{m+1} = x*He_m - m*He_{m-1}, an
-    independent check path.
+    ``via`` runs a check path of :mod:`ncbinom.verify` by name instead, only
+    because ``perfbench/baseline.py`` times "explicit_sum" and
+    "recurrence_oracle" that way.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if via == "explicit_sum":
-        coeffs = {}
-        for k in range(n // 2 + 1):
-            value = pairings(n, k)
-            coeffs[n - 2 * k] = -value if k % 2 else value
-        return Poly1(coeffs)
-    *_, result = hermite_sequence(n, via)
+    if via != "operator":
+        from .verify import _hermite_oracle
+        return _hermite_oracle(n, via)
+    *_, result = hermite_sequence(n)
     return result
 
 

@@ -6,12 +6,13 @@ replacement polynomial.  Normal forms are the PBW-style ordered monomials
 (central generators first, then the non-central alphabet order), so equality
 in the quotient reduces to structural equality of normal forms.
 
-Termination of the built-in families follows from a two-part measure that
+Termination of a validated system follows from a two-part measure that
 every admissible replacement term must respect: either it is the plain
 transposition (the word's inversion count drops by one at an unchanged
 letter multiset), or its multiset of non-central letters is strictly smaller
-(a letter vanishes or is replaced by strictly earlier ones), which is
-well-founded in the Dershowitz-Manna multiset order.
+than the pair's in the Dershowitz-Manna order, which is well-founded.  A
+shorter term alone is not enough: over A < B < C, BA -> AB + C with
+CA -> AC + B^2 and CB -> BC + A^5 never reduces C*B*A*A.
 
 The default reducer multiplies in the quotient: it pushes one letter at a
 time into an already-normal word, memoizing nf(letter * word) for the length
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .freealg import Algebra, ContextMismatchError, Generator, NCPoly
@@ -68,25 +68,6 @@ class ValidationReport:
     ok: bool
     violations: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-
-def _dm_smaller(candidate: Counter, reference: Counter) -> bool:
-    """Dershowitz-Manna multiset order on generator positions.
-
-    True iff ``candidate`` < ``reference``: they differ, and every position
-    whose count grew is compensated by a strictly later position whose count
-    shrank.
-    """
-    if candidate == reference:
-        return False
-    for pos, count in candidate.items():
-        if count > reference.get(pos, 0):
-            if not any(
-                later > pos and candidate.get(later, 0) < ref_count
-                for later, ref_count in reference.items()
-            ):
-                return False
-    return True
 
 
 class RelationSystem:
@@ -189,7 +170,6 @@ class RelationSystem:
             if replacement.algebra != self.algebra:
                 violations.append(f"{label}: replacement from a different context")
                 continue
-            pair_multiset = Counter((later, earlier))
             rule = compiled[(later, earlier)] = []
             for coded, coeff in self._encode(dict(replacement.canonical_terms())):
                 rule.append((coded, coeff))
@@ -200,9 +180,10 @@ class RelationSystem:
                     )
                 if coded == earlier + later:
                     continue
-                term_multiset = Counter(i for i in coded if i >= chr(self.n_central))
-                degree_drops = sum(term_multiset.values()) < 2  # letters in the pair
-                if not (degree_drops or _dm_smaller(term_multiset, pair_multiset)):
+                # Over a total order, Dershowitz-Manna compares the letters
+                # sorted descending; [later, earlier] is the pair sorted so.
+                letters = sorted((i for i in coded if i >= chr(self.n_central)), reverse=True)
+                if not letters < [later, earlier]:
                     violations.append(
                         f"{label}: replacement term '{name}' "
                         "decreases neither the inversion count nor the "
@@ -487,14 +468,19 @@ def load_system(source) -> RelationSystem:
         {"alphabet": [{"name": "C", "central": true}, ...],
          "rules": [{"pair": ["B", "A"], "replacement": <NCPoly JSON>}]}
 
-    A document that breaks the schema raises ``MalformedSystemError``
-    naming the entry and the fault: a missing key, a value of the wrong
-    type or shape, or a replacement that names an unknown generator or
+    A file that is not UTF-8 JSON, or a document that breaks the schema,
+    raises ``MalformedSystemError`` naming the entry and the fault: a
+    missing key, a value of the wrong type or shape, a repeated generator
+    name or rule pair, or a replacement that names an unknown generator or
     holds a coefficient that does not parse.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+                fault = f"malformed system file: not UTF-8 JSON: {exc}"
+                raise MalformedSystemError(fault) from None
     else:
         doc = source
     alphabet = []
@@ -504,6 +490,7 @@ def load_system(source) -> RelationSystem:
         central = entry.get("central", False)
         fault = ('"name" must be a string' if not isinstance(name, str) else
                  '"name" must not be empty' if not name else
+                 f"repeats name {name}" if any(name == n for n, _ in alphabet) else
                  '"central" must be a bool' if not isinstance(central, bool) else None)
         if fault:
             raise MalformedSystemError(f"malformed system file: {where} {fault}")
@@ -517,10 +504,14 @@ def load_system(source) -> RelationSystem:
         where = f"rules entry {i}"
         pair = _require(entry, "pair", where)
         replacement = _require(entry, "replacement", where)
-        if not (isinstance(pair, list) and len(pair) == 2):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(g, str) for g in pair)):
             raise MalformedSystemError(
                 f'malformed system file: {where} "pair" must name two generators'
             )
+        if tuple(pair) in rules:
+            fault = f"malformed system file: {where} repeats pair {''.join(pair)}"
+            raise MalformedSystemError(fault)
         try:
             rules[tuple(pair)] = NCPoly.from_json(algebra, replacement)
         except (AttributeError, KeyError, TypeError) as exc:

@@ -4,6 +4,8 @@ Each suite is a list of independent named checks over the expansion engines:
 exact identities on deterministic ranges, plus randomized identity checks
 driven by a seeded generator so runs are reproducible.  Checks report the
 first counterexample as JSON-ready data instead of raising.
+The library's second paths live here, unexported: the D_k recurrence, the
+Weyl coefficient triangle, and the Hermite recurrence and explicit sum.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from .binomial import (
     twisted_expand,
     weyl_coefficient,
 )
-from .diffop import DiffOp, Poly1, hermite, lambda_expansion, realize
+from .diffop import DiffOp, Poly1, hermite, hermite_sequence, lambda_expansion, realize
 from .freealg import Algebra, NCPoly, commutator
 from .rewrite import make_family
-from .scalars import ParamPoly, binom, factorial
+from .scalars import ParamPoly, binom, factorial, pairings
 
 SUITES = ("statements", "theorem1", "theorem2", "hsq", "weyl", "exp", "hermite")
 
@@ -40,6 +42,74 @@ class CheckResult:
     passed: bool
     detail: str
     counterexample: dict | None = None
+
+
+def _essential_recurrence(k: int, algebra: Algebra | None = None) -> NCPoly:
+    """D_k by D_{j+1} = d_B(A^j) + (A + d_B) D_j from D_0 = 0."""
+    algebra, a, b = _ab(algebra)
+    d = algebra.zero()
+    for j in range(k):
+        d = commutator(b, a ** j) + a * d + commutator(b, d)
+    return d
+
+
+def _weyl_triangle(n: int, algebra: Algebra) -> list[NCPoly]:
+    """The Weyl coefficients of row n, k = 0..n//2, built row by row from 1."""
+    c = algebra.gen("C")
+    row = [algebra.one()]
+    for m in range(n):
+        prev = row + [algebra.zero()]
+        row = [algebra.one()] + [prev[j] + (m + 2 - 2 * j) * c * prev[j - 1]
+                                 for j in range(1, (m + 1) // 2 + 1)]
+    return row
+
+
+def _hermite_recurrence(n: int) -> list[Poly1]:
+    """He_0 .. He_n by He_{m+1} = x*He_m - m*He_{m-1}."""
+    x = Poly1.x_power(1)
+    prev, cur = Poly1.zero(), Poly1.one()
+    values = [cur]
+    for m in range(n):
+        prev, cur = cur, x * cur - m * prev
+        values.append(cur)
+    return values
+
+
+def _hermite_explicit_sum(n: int) -> Poly1:
+    """He_n = n! sum_k (-1)^k x^(n-2k)/((n-2k)! k! 2^k)."""
+    coeffs = {}
+    for k in range(n // 2 + 1):
+        value = pairings(n, k)
+        coeffs[n - 2 * k] = -value if k % 2 else value
+    return Poly1(coeffs)
+
+
+def _hermite_oracle(n: int, via: str) -> Poly1:
+    """He_n by the check path named "explicit_sum" or "recurrence_oracle"."""
+    if via == "explicit_sum":
+        return _hermite_explicit_sum(n)
+    if via == "recurrence_oracle":
+        return _hermite_recurrence(n)[-1]
+    raise ValueError(f"unknown via {via!r}")
+
+
+def hermite_paths(n: int) -> tuple[list[Poly1], dict | None]:
+    """He_0 .. He_n and None, or the first degree where the paths disagree.
+
+    Walks the operator sequence (x - D)^j 1 and the recurrence once each,
+    comparing every degree with the explicit sum.  A disagreement returns
+    the values below it and a counterexample with all three values.
+    """
+    values = []
+    for k, (operator, recurrence) in enumerate(
+            zip(hermite_sequence(n), _hermite_recurrence(n))):
+        explicit = _hermite_explicit_sum(k)
+        if operator != explicit or explicit != recurrence:
+            return values, {"n": k, "operator": operator.to_json(),
+                            "explicit_sum": explicit.to_json(),
+                            "recurrence_oracle": recurrence.to_json()}
+        values.append(operator)
+    return values, None
 
 
 def random_ncpoly(rng: random.Random, algebra: Algebra,
@@ -218,16 +288,14 @@ def _suite_theorem1(bound, seed: int) -> list[CheckResult]:
         return _differs(twisted_expand(n, algebra), brute ** n, "expansion", n=n)
 
     def paths(k):
-        diff = essential_part(k, "difference", algebra)
-        rec = essential_part(k, "recurrence", algebra)
+        diff = essential_part(k, algebra)
+        rec = _essential_recurrence(k, algebra)
         if diff != rec:
             return {"k": k, "difference": diff.to_json(), "recurrence": rec.to_json()}
         return None
 
     def collapse(k):
-        reduced = commutative.normal_form(
-            essential_part(k, algebra=commutative.algebra)
-        )
+        reduced = commutative.normal_form(essential_part(k, commutative.algebra))
         return _differs(reduced, 0, "normal_form", k=k)
 
     return [
@@ -308,7 +376,7 @@ def _suite_hsq(bound, seed: int) -> list[CheckResult]:
         return None
 
     def essential_collapse(k):
-        reduced = system.normal_form(essential_part(k, algebra=algebra))
+        reduced = system.normal_form(essential_part(k, algebra))
         expected = (gamma_factor(k) - 1) * a ** k
         return _differs(reduced, expected, "normal_form", k=k)
 
@@ -348,9 +416,8 @@ def _suite_weyl(bound, seed: int) -> list[CheckResult]:
         return None
 
     def coefficient_paths(n):
-        for k in range(n // 2 + 1):
-            closed = weyl_coefficient(n, k, "closed", algebra)
-            rec = weyl_coefficient(n, k, "recurrence", algebra)
+        for k, rec in enumerate(_weyl_triangle(n, algebra)):
+            closed = weyl_coefficient(n, k, algebra)
             if closed != rec:
                 return {"n": n, "k": k, "closed": closed.to_json(),
                         "recurrence": rec.to_json()}
@@ -411,16 +478,6 @@ def _suite_hermite(bound, seed: int) -> list[CheckResult]:
     x2d_max = bound(6)
     weyl_max = bound(8)
 
-    def agreement(n):
-        operator = hermite(n, "operator")
-        explicit = hermite(n, "explicit_sum")
-        oracle = hermite(n, "recurrence_oracle")
-        if operator != explicit or explicit != oracle:
-            return {"n": n, "operator": operator.to_json(),
-                    "explicit_sum": explicit.to_json(),
-                    "recurrence_oracle": oracle.to_json()}
-        return None
-
     def spot(_):
         expected = {2: Poly1({2: 1, 0: -1}), 3: Poly1({3: 1, 1: -3})}
         for n, value in expected.items():
@@ -435,7 +492,7 @@ def _suite_hermite(bound, seed: int) -> list[CheckResult]:
         closed = lambda_expansion(n)
         if closed != lambda_power_apply(n):
             return {"n": n, "closed": closed.to_json()}
-        if closed.substitute({"lam": -1}) != hermite(n, "recurrence_oracle"):
+        if closed.substitute({"lam": -1}) != _hermite_recurrence(n)[-1]:
             return {"n": n, "at_minus_one": closed.substitute({"lam": -1}).to_json()}
         return None
 
@@ -447,6 +504,10 @@ def _suite_hermite(bound, seed: int) -> list[CheckResult]:
 
     def weyl_realized(n):
         return None if weyl_realization_check(n) else {"n": n}
+
+    _, disagreement = hermite_paths(n_max)
+    agreement = CheckResult("path-agreement", disagreement is None,
+                            f"three generation paths, n <= {n_max}", disagreement)
 
     compose = CheckResult("compose-soundness", True,
                           "200 random operator pairs")
@@ -462,8 +523,7 @@ def _suite_hermite(bound, seed: int) -> list[CheckResult]:
             break
 
     return [
-        _range_check("path-agreement", n_max,
-                     f"three generation paths, n <= {n_max}", agreement),
+        agreement,
         _range_check("spot-checks", 0, "frozen values at n = 2, 3", spot),
         _range_check("m-realization", real_max,
                      f"ordered sum applied to 1 gives x^n, n <= {real_max}",

@@ -25,6 +25,9 @@ from ncbinom.freealg import Algebra, commutator
 from ncbinom.rewrite import make_family
 from ncbinom.scalars import binom, factorial
 from ncbinom.verify import (
+    _hermite_explicit_sum,
+    _hermite_recurrence,
+    _weyl_triangle,
     lambda_power_apply,
     m_power_defect,
     m_product_defect,
@@ -135,7 +138,7 @@ def test_criterion_6_weyl_closed_form():
         for n in range(9)
     )
     ok = ok and all(
-        weyl_coefficient(n, k, via="recurrence") == weyl_coefficient(n, k)
+        _weyl_triangle(n, weyl_triple())[k] == weyl_coefficient(n, k)
         for n in range(21)
         for k in range(n // 2 + 1)
     )
@@ -160,9 +163,9 @@ def test_criterion_7_exponential_defects():
 
 def test_criterion_8_hermite_paths():
     ok = all(
-        hermite(n, "operator")
-        == hermite(n, "explicit_sum")
-        == hermite(n, "recurrence_oracle")
+        hermite(n)
+        == _hermite_explicit_sum(n)
+        == _hermite_recurrence(n)[-1]
         for n in range(21)
     )
     ok = ok and hermite(2) == Poly1({2: 1, 0: -1})

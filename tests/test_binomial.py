@@ -25,7 +25,12 @@ from ncbinom.binomial import (
 from ncbinom.freealg import NCPoly, commutator, twisted_powers
 from ncbinom.rewrite import make_family
 from ncbinom.scalars import ParamPoly, binom, factorial
-from ncbinom.verify import m_power_defect, m_product_defect
+from ncbinom.verify import (
+    _essential_recurrence,
+    _weyl_triangle,
+    m_power_defect,
+    m_product_defect,
+)
 
 ALG = free_pair()
 A, B = ALG.gen("A"), ALG.gen("B")
@@ -61,14 +66,12 @@ def test_essential_part_values():
 
 def test_essential_part_paths_agree():
     for k in range(7):
-        assert essential_part(k, "difference") == essential_part(k, "recurrence")
-    with pytest.raises(ValueError):
-        essential_part(2, "guesswork")
+        assert essential_part(k) == _essential_recurrence(k)
 
 
 def test_running_essential_parts_match_recurrence():
     for k, t_k in enumerate(twisted_powers(A, B, 8)):
-        assert t_k - A ** k == essential_part(k, via="recurrence")
+        assert t_k - A ** k == _essential_recurrence(k)
 
 
 def test_essential_expand_matches_brute():
@@ -145,9 +148,7 @@ def test_weyl_coefficient_values():
 def test_weyl_coefficient_paths_agree():
     for n in range(13):
         for k in range(n // 2 + 1):
-            assert weyl_coefficient(n, k, "closed") == weyl_coefficient(
-                n, k, "recurrence"
-            )
+            assert weyl_coefficient(n, k) == _weyl_triangle(n, weyl_triple())[k]
 
 
 def test_weyl_coefficient_range_errors():
@@ -155,8 +156,6 @@ def test_weyl_coefficient_range_errors():
         weyl_coefficient(3, 2)
     with pytest.raises(ValueError):
         weyl_coefficient(3, -1)
-    with pytest.raises(ValueError):
-        weyl_coefficient(3, 1, "sideways")
 
 
 def test_closed_form_weyl_values():

@@ -158,18 +158,20 @@ def test_hermite_json(capsys):
 @pytest.mark.parametrize("path", ["operator", "recurrence_oracle", "explicit_sum"])
 def test_hermite_path_disagreement_fails(capsys, monkeypatch, path):
     # one generation path goes wrong at degree 2: nothing is printed on stdout
-    import ncbinom.cli as cli
-    from ncbinom.diffop import Poly1, hermite, hermite_sequence
+    import ncbinom.verify as verify
+    from ncbinom.diffop import Poly1
 
     def off_at_two(value, k):
         return value + Poly1.x_power(5) if k == 2 else value
 
+    name = {"operator": "hermite_sequence", "recurrence_oracle": "_hermite_recurrence",
+            "explicit_sum": "_hermite_explicit_sum"}[path]
+    original = getattr(verify, name)
     if path == "explicit_sum":
-        monkeypatch.setattr(cli, "hermite", lambda k, via: off_at_two(hermite(k, via), k))
+        monkeypatch.setattr(verify, name, lambda k: off_at_two(original(k), k))
     else:
-        monkeypatch.setattr(cli, "hermite_sequence", lambda n, via: (
-            off_at_two(value, k) if via == path else value
-            for k, value in enumerate(hermite_sequence(n, via))))
+        monkeypatch.setattr(verify, name, lambda n: [
+            off_at_two(value, k) for k, value in enumerate(original(n))])
     code, out, err = run(capsys, "hermite", "--n", "4")
     assert code == 1
     assert out == ""
@@ -230,6 +232,27 @@ def test_missing_relation_file(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_relation_path_is_a_directory(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "expand", "--n", "2", "--method", "brute", "--relation", str(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno 21] Is a directory")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{not json"])
+def test_relation_file_not_utf8_json(capsys, tmp_path, content):
+    path = tmp_path / "garbled.json"
+    path.write_bytes(content)
+    code, out, err = run(
+        capsys, "expand", "--n", "2", "--method", "brute", "--relation", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed system file: not UTF-8 JSON: ")
 
 
 def test_expand_closed_hsq_past_old_budget(capsys):

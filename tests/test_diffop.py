@@ -10,6 +10,8 @@ from ncbinom.diffop import DiffOp, Poly1, hermite, lambda_expansion, realize
 from ncbinom.rewrite import make_family
 from ncbinom.scalars import ParamPoly
 from ncbinom.verify import (
+    _hermite_explicit_sum,
+    _hermite_recurrence,
     lambda_power_apply,
     m_realization,
     random_ncpoly,
@@ -106,9 +108,10 @@ def test_hermite_spot_values():
 
 def test_hermite_paths_agree():
     for n in range(13):
-        operator = hermite(n, "operator")
-        assert operator == hermite(n, "explicit_sum")
-        assert operator == hermite(n, "recurrence_oracle")
+        operator = hermite(n)
+        assert operator == _hermite_explicit_sum(n)
+        assert operator == _hermite_recurrence(n)[-1]
+    assert hermite(6, "explicit_sum") == hermite(6, "recurrence_oracle") == hermite(6)
     with pytest.raises(ValueError):
         hermite(2, "lookup_table")
     with pytest.raises(ValueError):
@@ -129,9 +132,7 @@ def test_lambda_expansion_matches_operator_power():
 
 def test_lambda_expansion_specializes_to_hermite():
     for n in range(11):
-        assert lambda_expansion(n).substitute({"lam": -1}) == hermite(
-            n, "recurrence_oracle"
-        )
+        assert lambda_expansion(n).substitute({"lam": -1}) == _hermite_recurrence(n)[-1]
 
 
 def test_m_realization_gives_x_power():

@@ -56,6 +56,22 @@ def test_degree_raising_rule_rejected():
         system.normal_form(b)
 
 
+def test_shorter_but_later_term_rejected():
+    # BA -> AB + C shortens the word but trades both letters for a later
+    # one; with these rules C*B*A*A rewrites forever
+    alg = Algebra("A", "B", "C")
+    a, b, c = (alg.gen(name) for name in "ABC")
+    rules = {("B", "A"): a * b + c, ("C", "A"): a * c + b * b,
+             ("C", "B"): b * c + a ** 5}
+    system = RelationSystem(alg, rules)
+    assert system.validate().violations == [
+        "rule BA: replacement term 'C' decreases neither the inversion count "
+        "nor the non-central letter multiset"
+    ]
+    with pytest.raises(InvalidSystemError):
+        system.normal_form(c * b * a * a)
+
+
 def test_missing_rule_reported():
     alg = Algebra("A", "B")
     report = RelationSystem(alg, {}).validate()
@@ -383,6 +399,9 @@ def test_malformed_system_names_the_missing_key():
          'rules entry 0 replacement missing "terms"'),
         ({"alphabet": [{"name": "A"}], "rules": [{"pair": "BA", "replacement": {}}]},
          'rules entry 0 "pair" must name two generators'),
+        ({"alphabet": [{"name": "A"}, {"name": "B"}],
+          "rules": [{"pair": [["B"], "A"], "replacement": {"terms": []}}]},
+         'rules entry 0 "pair" must name two generators'),
         ({"alphabet": 5}, '"alphabet" must be a list'),
         ({"alphabet": [{"name": "A"}], "rules": 5}, '"rules" must be a list'),
     ]
@@ -399,13 +418,16 @@ def test_malformed_system_names_the_missing_key():
     zero_denominator["rules"][0]["replacement"]["terms"][0]["coeff"] = "1/0"
     spelled = json.loads(json.dumps(USER_SYSTEM))
     spelled["rules"][0]["replacement"]["terms"][0]["word"] = "AB"
+    repeated = json.loads(json.dumps(USER_SYSTEM))
+    repeated["rules"].append(repeated["rules"][0])
     cases += [(numeric, f"rules entry 0 replacement {shape}"),
               (listed, f"rules entry 0 replacement {shape}"),
               (unknown, "rules entry 0 replacement: unknown generator 'X'"),
               (unparsable, "rules entry 0 replacement: cannot parse polynomial factor '1 +'"),
               (zero_denominator,
                "rules entry 0 replacement: zero denominator in polynomial factor '1/0'"),
-              (spelled, f"rules entry 0 replacement {shape}")]
+              (spelled, f"rules entry 0 replacement {shape}"),
+              (repeated, "rules entry 1 repeats pair BA")]
     for doc, message in cases:
         with pytest.raises(MalformedSystemError) as info:
             load_system(doc)
@@ -420,6 +442,8 @@ def test_malformed_alphabet_entry_types():
         ([{"name": "A"}, {"name": "C", "central": "yes"}],
          'alphabet entry 1 "central" must be a bool'),
         ([{"name": "C", "central": 1}], 'alphabet entry 0 "central" must be a bool'),
+        ([{"name": "A"}, {"name": "B"}, {"name": "A", "central": True}],
+         "alphabet entry 2 repeats name A"),
     ]
     for alphabet, message in cases:
         with pytest.raises(MalformedSystemError) as info:
