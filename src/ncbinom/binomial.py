@@ -125,18 +125,28 @@ def m_derivation_expand(n: int, algebra: Algebra | None = None) -> NCPoly:
     return total
 
 
-def gamma_factor(n: int) -> ParamPoly:
-    """The product (1+h)(1+2h)...(1+(n-1)h); empty product for n <= 1.
+def gamma_factors(n: int):
+    """Yield gamma_0 .. gamma_n by gamma_{k+1} = (1 + k*h) gamma_k from gamma_0 = 1.
 
-    Computed by the first-order recurrence gamma_{k+1} = (1 + k*h) gamma_k.
-    Evaluates to 1 at h=0 and to n! at h=1.
+    Each element costs one product with the one before.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     h = ParamPoly.param("h")
     value = ParamPoly.one()
-    for k in range(1, n):
+    yield value
+    for k in range(n):
         value = (1 + k * h) * value
+        yield value
+
+
+def gamma_factor(n: int) -> ParamPoly:
+    """The product (1+h)(1+2h)...(1+(n-1)h); empty product for n <= 1.
+
+    The last element of :func:`gamma_factors`.  Evaluates to 1 at h=0 and
+    to n! at h=1.
+    """
+    *_, value = gamma_factors(n)
     return value
 
 
@@ -145,7 +155,9 @@ def closed_form_hsq(n: int, algebra: Algebra | None = None) -> NCPoly:
 
     Quotient-equal to (A+B)^n under the relation [B, A] = h*A^2.
     """
-    return _ordered_sum([binom(n, k) * gamma_factor(k) for k in range(n + 1)], algebra)
+    return _ordered_sum(
+        [binom(n, k) * gamma for k, gamma in enumerate(gamma_factors(n))], algebra
+    )
 
 
 def weyl_coefficient(n: int, k: int, algebra: Algebra | None = None) -> NCPoly:

@@ -10,6 +10,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,7 +19,7 @@ from .binomial import (
     IncompatibleRelationError,
     exp_defect,
     expansion_report,
-    gamma_factor,
+    gamma_factors,
     weyl_m_text,
 )
 from .rewrite import BudgetExceededError, InvalidSystemError
@@ -76,11 +77,8 @@ def _cmd_hermite(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    if args.n < 0:
-        raise ValueError("n must be non-negative")
     ok = True
-    for k in range(args.n + 1):
-        value = gamma_factor(k)
+    for k, value in enumerate(gamma_factors(args.n)):
         at_zero = value.evaluate({"h": 0})
         at_one = value.evaluate({"h": 1})
         print(f"gamma_{k} = {value.text()} | h=0: {at_zero} | h=1: {at_one}")
@@ -159,8 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on first use and never handed out."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except BudgetExceededError as exc:

@@ -160,7 +160,6 @@ class NCPoly(_Sparse):
 
     _UNIT = ""
     _key_mul = staticmethod(operator.add)
-    _order = staticmethod(lambda key: (len(key), key))
 
     def __init__(self, algebra: Algebra, terms: dict):
         """Build from a word -> scalar map; the words are packed."""
@@ -174,7 +173,7 @@ class NCPoly(_Sparse):
         return self.algebra._poly(terms)
 
     def _same_context(self, other: NCPoly) -> bool:
-        return self.algebra == other.algebra
+        return self.algebra is other.algebra or self.algebra == other.algebra
 
     def _key_text(self, key: str) -> str:
         return _run_length(key, self.algebra._names.__getitem__)
@@ -183,6 +182,17 @@ class NCPoly(_Sparse):
     # (perfbench/tracer.py) counts products and renders.
     __mul__ = _Sparse.__mul__
     text = _Sparse.text
+
+    def canonical_terms(self) -> list:
+        """(key, coefficient) pairs by word length, then declaration order.
+
+        Keys sort by code point, which is declaration order, and a stable
+        sort by length keeps that order within each length.
+        """
+        keys = sorted(self.terms)
+        keys.sort(key=len)
+        terms = self.terms
+        return [(key, terms[key]) for key in keys]
 
     def items(self):
         """Yield (word of generators, stored coefficient) for each term."""

@@ -20,6 +20,14 @@ it has a non-constant monomial.  Most coefficients the expansions produce are
 plain rationals, so their products and sums run in C rather than through
 ``ParamPoly`` arithmetic.  The public ``coefficient`` accessors box a bare
 value back into a ``ParamPoly``.
+
+Products skip the general merge where they can.  A bare ``int`` or
+``Fraction`` factor scales each coefficient (0 gives zero, 1 the value
+itself), and a factor of one term, on either side, maps each term of the
+other to one term (``DiffOp`` composes instead).  Neither needs
+``_add_term``: the other key products (word concatenation, monomial
+product, degree sum) are cancellative, so distinct keys stay distinct, and
+Q[params] has no zero divisors, so no coefficient cancels.
 """
 
 from __future__ import annotations
@@ -130,7 +138,7 @@ class _Sparse:
     ``int``, ``Fraction`` and ``ParamPoly`` lift onto the unit key.  A subclass
     supplies its key product ``_key_mul`` (or overrides ``_mul`` when one
     key pair yields several keys), its key text ``_key_text`` and its term
-    order ``_order``, a sort key on keys.
+    order, as ``_order`` (a sort key on keys) or its own ``canonical_terms``.
     """
 
     __slots__ = ("terms",)
@@ -218,15 +226,37 @@ class _Sparse:
         return other + (-self)
 
     def _mul(self, other):
-        """The product with ``other`` of this type, one key per key pair."""
+        """The product with ``other`` of this type, one key per key pair.
+
+        A one-term factor on either side maps distinct keys to distinct
+        keys and nonzero coefficients to nonzero ones, so its product is
+        built in one pass with no merge.
+        """
         key_mul = self._key_mul
+        if len(other.terms) == 1:
+            ((k2, c2),) = other.terms.items()
+            return self._new({key_mul(k1, k2): c1 * c2 for k1, c1 in self.terms.items()})
+        if len(self.terms) == 1:
+            ((k1, c1),) = self.terms.items()
+            return self._new({key_mul(k1, k2): c1 * c2 for k2, c2 in other.terms.items()})
         terms: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 _add_term(terms, key_mul(k1, k2), c1 * c2)
         return self._new(terms)
 
+    def _scale(self, value):
+        """The product with a bare ``int`` or ``Fraction``, key by key."""
+        value = ParamPoly._coeff(value)
+        if not value:
+            return self._new({})
+        if value == 1:
+            return self
+        return self._new({key: coeff * value for key, coeff in self.terms.items()})
+
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
         other = self._lift(other)
         if other is None:
             return NotImplemented
@@ -234,10 +264,9 @@ class _Sparse:
 
     def __rmul__(self, other):
         # scalars commute with everything, so the left action is a product
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other * self
+        if isinstance(other, (int, Fraction, ParamPoly)):
+            return self * other
+        return NotImplemented
 
     def powers(self, n: int):
         """Yield self^0 .. self^n by repeated multiplication, one product each."""

@@ -34,6 +34,7 @@ from .scalars import ParamPoly, binom, factorial, pairings
 SUITES = ("statements", "theorem1", "theorem2", "hsq", "weyl", "exp", "hermite")
 
 RANDOM_CASES = 500
+_RANDOM_COEFFS = (-3, -2, -1, 1, 2, 3)
 
 
 @dataclass
@@ -115,14 +116,12 @@ def hermite_paths(n: int) -> tuple[list[Poly1], dict | None]:
 def random_ncpoly(rng: random.Random, algebra: Algebra,
                   max_degree: int = 3, max_terms: int = 4) -> NCPoly:
     """A small random element: words up to max_degree, integer coefficients."""
-    terms = []
+    letters = [chr(g.index) for g in algebra.generators]
+    terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
-        word = tuple(
-            rng.choice(algebra.generators)
-            for _ in range(rng.randint(0, max_degree))
-        )
-        terms.append((word, rng.choice([-3, -2, -1, 1, 2, 3])))
-    return algebra.from_terms(terms)
+        key = "".join([rng.choice(letters) for _ in range(rng.randint(0, max_degree))])
+        terms[key] = terms.get(key, 0) + rng.choice(_RANDOM_COEFFS)
+    return algebra._poly({key: coeff for key, coeff in terms.items() if coeff})
 
 
 def m_product_defect(n: int, algebra: Algebra | None = None) -> NCPoly:

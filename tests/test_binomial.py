@@ -15,6 +15,7 @@ from ncbinom.binomial import (
     expansion_report,
     free_pair,
     gamma_factor,
+    gamma_factors,
     m_basis,
     m_derivation_expand,
     twisted_expand,
@@ -280,3 +281,35 @@ def test_engines_take_one_twisted_step_per_degree(monkeypatch):
             assert counts["steps"] == n, (name, n, counts["steps"])
             products[n] = counts["products"]
         assert products[10] - products[8] == products[8] - products[6], (name, products)
+
+
+def test_gamma_factors_walk_the_recurrence_once(monkeypatch):
+    h = ParamPoly.param("h")
+    expected = []
+    for k in range(13):
+        value = ParamPoly.one()
+        for j in range(1, k):
+            value = value * (1 + j * h)
+        expected.append(value)
+    assert list(gamma_factors(12)) == expected
+    assert [gamma_factor(k) for k in range(13)] == expected
+    with pytest.raises(ValueError):
+        list(gamma_factors(-1))
+
+    # work-count guard: closed_form_hsq makes a fixed number of ParamPoly
+    # products per degree, not one per (degree, factor) pair
+    counts = Counter()
+    for name in ("__mul__", "__rmul__"):
+        original = getattr(ParamPoly, name)
+
+        def counting(self, other, original=original):
+            counts["products"] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(ParamPoly, name, counting)
+    products = {}
+    for n in (10, 20, 30):
+        counts.clear()
+        closed_form_hsq(n)
+        products[n] = counts["products"]
+    assert products[30] - products[20] == products[20] - products[10], products

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from ncbinom import cli
 from ncbinom.binomial import free_pair, twisted_expand, weyl_triple
-from ncbinom.cli import main
+from ncbinom.cli import build_parser, main
 from ncbinom.freealg import NCPoly
 
 
@@ -112,6 +113,24 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    assert build_parser() is not build_parser()
+    with pytest.raises(SystemExit) as info:
+        main(["expand", "--n", "2"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+    argv = ["expand", "--n", "5", "--method", "closed_hsq", "--format", "json"]
+    outs = []
+    for _ in range(2):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["oracle_match"] is True
+    assert built == []
 
 
 def test_verify_small_suite(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,10 @@ from ncbinom.freealg import (
     twisted_powers,
     word_text,
 )
-from ncbinom.rewrite import make_family
+from ncbinom.binomial import free_pair, weyl_triple
+from ncbinom.rewrite import FAMILIES, load_system, make_family
 from ncbinom.scalars import ParamPoly
+from ncbinom.verify import random_ncpoly
 
 ALG = Algebra("A", "B", "C")
 A, B, C = ALG.gen("A"), ALG.gen("B"), ALG.gen("C")
@@ -230,3 +234,35 @@ def test_truncate():
     p = (A + B) ** 3 + A * B + ALG.one()
     assert p.truncate(2) == A * B + ALG.one()
     assert p.truncate(3) == p
+
+
+def _random_ncpoly_reference(rng, algebra, max_degree=3, max_terms=4):
+    # Generator-tuple words merged by from_terms, drawing in the same order
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        word = tuple(
+            rng.choice(algebra.generators)
+            for _ in range(rng.randint(0, max_degree))
+        )
+        terms.append((word, rng.choice([-3, -2, -1, 1, 2, 3])))
+    return algebra.from_terms(terms)
+
+
+def test_random_ncpoly_draws_the_reference_polynomials():
+    central_last = load_system({
+        "alphabet": [{"name": "A"}, {"name": "B"}, {"name": "C", "central": True}],
+        "rules": [{"pair": ["B", "A"], "replacement": {"terms": [
+            {"coeff": "1", "word": ["A", "B"]}, {"coeff": "1", "word": ["C"]}]}}],
+    })
+    algebras = [free_pair(), weyl_triple(), ALG, central_last.algebra]
+    algebras += [make_family(family).algebra for family in FAMILIES]
+    for algebra in algebras:
+        for seed in range(8):
+            for max_degree, max_terms in ((3, 4), (6, 8), (0, 3)):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                for _ in range(20):
+                    p = random_ncpoly(rng, algebra, max_degree, max_terms)
+                    expected = _random_ncpoly_reference(ref_rng, algebra, max_degree, max_terms)
+                    assert p == expected and list(p.terms) == list(expected.terms)
+                    assert p.algebra is algebra
+                assert rng.getstate() == ref_rng.getstate()

@@ -1,4 +1,6 @@
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -219,6 +221,17 @@ def test_constant_coefficients_are_stored_bare():
     assert poly.text() == (3 * Poly1.x_power(2)).text()
     assert poly.to_json() == (3 * Poly1.x_power(2)).to_json()
 
+    # a bare scalar factor: 0 gives zero, 1 the value, Fraction(6, 3) the int 2
+    for p in (h * a + a - 2, Poly1.x_power(2) + h, DiffOp.d() - lam * DiffOp.x(), 1 + h):
+        assert not (0 * p).terms and not (p * 0).terms
+        assert (1 * p).terms == p.terms and (p * 1).terms == p.terms
+        doubled = Fraction(6, 3) * p
+        assert doubled == p + p == p * Fraction(6, 3)
+        _assert_stored_bare(doubled)
+    doubled = Fraction(6, 3) * a
+    assert type(dict(doubled.items())[alg.word("A")]) is int
+    assert type((Fraction(6, 3) * ParamPoly.const(1)).terms[()]) is int
+
 
 def test_degree_and_parameters():
     h, lam = ParamPoly.param("h"), ParamPoly.param("lam")
@@ -262,3 +275,43 @@ def test_shared_ring_plumbing(kind, p):
     assert difference == 0 and not difference.terms
     assert p ** 0 == 1
     assert p ** 2 == p * p
+
+
+def _monomial_product(m1, m2):
+    return tuple(sorted((Counter(dict(m1)) + Counter(dict(m2))).items()))
+
+
+_ALG = Algebra("A", "B", "C")
+_words = st.lists(st.sampled_from(_ALG.generators), max_size=3).map(tuple)
+_coeffs = st.one_of(coefficients(), polys())
+# kind -> (keys, coefficients, constructor, key product written here, not
+# the package's): words concatenate, degrees add
+_PRODUCT_KINDS = {
+    "ParamPoly": (monomials(), coefficients(), ParamPoly, _monomial_product),
+    "NCPoly": (_words, coefficients(), lambda t: NCPoly(_ALG, t), operator.add),
+    "NCPoly over Q[h, lam]": (_words, _coeffs, lambda t: NCPoly(_ALG, t), operator.add),
+    "Poly1": (st.integers(0, 5), _coeffs, Poly1, operator.add),
+}
+
+
+def _double_loop(left, right, key_mul):
+    terms = {}
+    for k1, c1 in left.terms.items():
+        for k2, c2 in right.terms.items():
+            key = key_mul(k1, k2)
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return {key: coeff for key, coeff in terms.items() if coeff}
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_one_term_products_match_the_double_loop(data):
+    kind = data.draw(st.sampled_from(sorted(_PRODUCT_KINDS)))
+    keys, coeffs, build, key_mul = _PRODUCT_KINDS[kind]
+    p = data.draw(st.dictionaries(keys, coeffs, max_size=5).map(build))
+    key, coeff = data.draw(st.tuples(keys, coeffs.filter(bool)))
+    single = build({key: coeff})
+    for left, right in ((single, p), (p, single)):
+        product = left * right
+        assert product.terms == _double_loop(left, right, key_mul), kind
+        _assert_stored_bare(product)
