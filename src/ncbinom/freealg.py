@@ -5,7 +5,8 @@ Polynomials are sparse maps word -> coefficient, a bare ``int`` or
 :mod:`ncbinom.scalars`).  A word is a tuple of generators at the API and a
 packed ``str`` as a ``terms`` key, one character ``chr(generator.index)``
 per letter, so ``(len(w), w)`` sorts keys in the canonical term order:
-length, then declaration order.  ``Algebra.pack`` and ``NCPoly.items``
+length, then alphabet position (central generators first, then the rest,
+each in declaration order).  ``Algebra.pack`` and ``NCPoly.items``
 convert between the two.  No relations are applied here:
 ``A*B`` and ``B*A`` stay distinct words, which is what makes structural
 equality of term maps semantic equality.  Quotients by commutation relations
@@ -24,7 +25,8 @@ from .scalars import ContextMismatchError, ParamPoly, _box, _scalar_text, _Spars
 class Generator(NamedTuple):
     """One letter of the alphabet as the API shows it, packed to
     ``chr(index)`` in a ``terms`` key; ``central`` marks it as commuting
-    with everything (only the rewrite layer acts on this flag)."""
+    with everything (only the rewrite layer acts on this flag); central
+    letters take the first indices."""
 
     name: str
     central: bool = False
@@ -52,8 +54,9 @@ def word_text(word: Word) -> str:
 class Algebra:
     """A generator context: an ordered alphabet with centrality flags.
 
-    Equality is structural (same names, flags, order), so algebras built
-    independently from the same description interoperate.
+    ``generators`` lists the central letters first, then the rest, each in
+    declaration order.  Equality is structural (same names, flags, order),
+    so algebras built independently from the same description interoperate.
     """
 
     __slots__ = ("generators", "_by_name", "_codes", "_names")
@@ -65,8 +68,9 @@ class Algebra:
         unknown = central - set(names)
         if unknown:
             raise ValueError(f"central flags for unknown generators: {sorted(unknown)}")
+        order = sorted(names, key=lambda name: name not in central)  # stable
         self.generators = tuple(
-            Generator(name, name in central, i) for i, name in enumerate(names)
+            Generator(name, name in central, i) for i, name in enumerate(order)
         )
         self._by_name = {g.name: g for g in self.generators}
         self._codes = {g: chr(g.index) for g in self.generators}
@@ -184,9 +188,9 @@ class NCPoly(_Sparse):
     text = _Sparse.text
 
     def canonical_terms(self) -> list:
-        """(key, coefficient) pairs by word length, then declaration order.
+        """(key, coefficient) pairs by word length, then alphabet position.
 
-        Keys sort by code point, which is declaration order, and a stable
+        Keys sort by code point, which is alphabet position, and a stable
         sort by length keeps that order within each length.
         """
         keys = sorted(self.terms)

@@ -12,16 +12,17 @@ transposition (the word's inversion count drops by one at an unchanged
 letter multiset), or its multiset of non-central letters is strictly smaller
 than the pair's in the Dershowitz-Manna order, which is well-founded.  A
 shorter term alone is not enough: over A < B < C, BA -> AB + C with
-CA -> AC + B^2 and CB -> BC + A^5 never reduces C*B*A*A.
+CA -> AC + B^2 and CB -> BC + A^5 never reduces C*B*A*A.  A terminating
+system is confluent exactly when every overlap z*y*x of three non-central
+letters in descending order resolves (Bergman, "The diamond lemma for ring
+theory", 1978), and ``validate`` reduces each overlap both ways.
 
-The default reducer multiplies in the quotient: it pushes one letter at a
-time into an already-normal word, memoizing nf(letter * word) for the length
-of one call.  The worklist reducer ("leftmost"/"rightmost") rewrites whole
-words redex by redex and stays as the independent oracle.
-
-The reducers read the packed ``str`` words of :mod:`ncbinom.freealg`, each
-letter recoded to its alphabet position by one ``str.translate`` per word,
-or not at all when central letters are declared first, as in the built-ins.
+The reducer multiplies in the quotient: it pushes one letter at a time into
+an already-normal word, memoizing nf(letter * word) for the length of one
+call.  It reads the packed ``str`` words of :mod:`ncbinom.freealg` as they
+are: a letter's code point is its alphabet position, so a word is normal iff
+its letters are non-decreasing, and its central letters are those below
+``chr(n_central)``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .freealg import Algebra, ContextMismatchError, Generator, NCPoly
 from .scalars import ParamPoly, _add_term
@@ -67,7 +69,6 @@ class MalformedSystemError(RewriteError, ValueError):
 class ValidationReport:
     ok: bool
     violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
 
 class RelationSystem:
@@ -75,33 +76,18 @@ class RelationSystem:
 
     ``rules`` maps an out-of-order pair of generator names
     ``(later, earlier)`` to its normal-form replacement polynomial.
-    Immutable after construction; ``normal_form`` is pure.
-
-    Both reducers, ``power`` and ``validate`` read coded words: a packed
-    word whose letters are recoded to ``chr(alphabet position)``.  A coded
-    word is normal iff its letters are non-decreasing, and its central
-    letters are those below ``chr(n_central)``.  ``validate`` compiles the
-    rules once into ``{(later, earlier): [(coded word, coeff)]}``.
+    Immutable after construction; ``normal_form`` is pure.  ``alphabet`` is
+    ``algebra.generators``, central letters first.  ``validate`` compiles
+    the rules once into ``{(later, earlier): [(packed word, coeff)]}``, the
+    table the reducer reads.
     """
 
     def __init__(self, algebra: Algebra, rules: dict[tuple[str, str], NCPoly],
-                 name: str | None = None, builtin: bool = False):
+                 name: str | None = None):
         self.algebra = algebra
         self.name = name
-        self.builtin = builtin
-        self.alphabet: tuple[Generator, ...] = tuple(
-            sorted(algebra.generators, key=lambda g: (not g.central, g.index))
-        )
-        self.n_central = sum(1 for g in self.alphabet if g.central)
-        # generator or packed letter -> alphabet position
-        self._positions = {k: pos for pos, g in enumerate(self.alphabet) for k in (g, chr(g.index))}
-        # translate tables between packed letters (declaration index) and
-        # coded ones (alphabet position); None when the two orders agree
-        order = "".join(chr(g.index) for g in self.alphabet)
-        self._to_code = self._from_code = None
-        if order != "".join(sorted(order)):
-            self._to_code = order.maketrans(order, "".join(map(chr, range(len(order)))))
-            self._from_code = order
+        self.alphabet: tuple[Generator, ...] = algebra.generators
+        self.n_central = sum(g.central for g in self.alphabet)
         self.rules = dict(rules)
         self._report: ValidationReport | None = None
         self._compiled: dict[tuple[str, str], list] = {}
@@ -111,27 +97,16 @@ class RelationSystem:
 
     def position(self, letter: Generator | str) -> int:
         """The alphabet position of a generator or of a packed letter."""
-        try:
-            return self._positions[letter]
-        except KeyError:
-            name = getattr(letter, "name", letter)
-            raise KeyError(f"generator {name!r} is not in this system") from None
-
-    def _encode(self, terms: dict):
-        """The (coded word, coeff) pairs of a packed term map."""
-        table = self._to_code
-        return terms.items() if table is None else [
-            (word.translate(table), c) for word, c in terms.items()]
-
-    def _decode(self, terms: dict) -> NCPoly:
-        """The polynomial of a coded, already pruned term map."""
-        table = self._from_code
-        if table is not None:
-            terms = {word.translate(table): c for word, c in terms.items()}
-        return self.algebra._poly(terms)
+        if letter in self.algebra._names:
+            return ord(letter)
+        if letter in self.alphabet:
+            return letter.index
+        name = getattr(letter, "name", letter)
+        raise KeyError(f"generator {name!r} is not in this system")
 
     def validate(self) -> ValidationReport:
-        """Check rule coverage, normal-form replacements, and admissibility.
+        """Check rule coverage, normal-form replacements, admissibility and
+        confluence.
 
         Violations are reported, not raised: an inadmissible rule is the
         signal this operation exists to produce.
@@ -139,7 +114,6 @@ class RelationSystem:
         if self._report is not None:
             return self._report
         violations: list[str] = []
-        warnings: list[str] = []
 
         noncentral = self.alphabet[self.n_central:]
         required = {
@@ -157,8 +131,8 @@ class RelationSystem:
                     and self.algebra.has_generator(earlier_name)):
                 violations.append(f"{label}: unknown generator in pair")
                 continue
-            later = chr(self.position(self.algebra.generator(later_name)))
-            earlier = chr(self.position(self.algebra.generator(earlier_name)))
+            later = chr(self.algebra.generator(later_name).index)
+            earlier = chr(self.algebra.generator(earlier_name).index)
             if min(later, earlier) < chr(self.n_central):
                 violations.append(
                     f"{label}: central generators commute implicitly, no rule allowed"
@@ -170,19 +144,18 @@ class RelationSystem:
             if replacement.algebra != self.algebra:
                 violations.append(f"{label}: replacement from a different context")
                 continue
-            rule = compiled[(later, earlier)] = []
-            for coded, coeff in self._encode(dict(replacement.canonical_terms())):
-                rule.append((coded, coeff))
-                name = "".join(self.alphabet[ord(i)].name for i in coded) or "1"
-                if coded != "".join(sorted(coded)):
+            rule = compiled[(later, earlier)] = replacement.canonical_terms()
+            for word, _ in rule:
+                name = "".join(self.alphabet[ord(i)].name for i in word) or "1"
+                if word != "".join(sorted(word)):
                     violations.append(
                         f"{label}: replacement term '{name}' is not in normal form"
                     )
-                if coded == earlier + later:
+                if word == earlier + later:
                     continue
                 # Over a total order, Dershowitz-Manna compares the letters
                 # sorted descending; [later, earlier] is the pair sorted so.
-                letters = sorted((i for i in coded if i >= chr(self.n_central)), reverse=True)
+                letters = sorted((i for i in word if i >= chr(self.n_central)), reverse=True)
                 if not letters < [later, earlier]:
                     violations.append(
                         f"{label}: replacement term '{name}' "
@@ -190,26 +163,27 @@ class RelationSystem:
                         "non-central letter multiset"
                     )
 
-        if not self.builtin:
-            warnings.append(
-                "user-defined system: confluence is only checked statistically"
-            )
-        self._report = ValidationReport(not violations, violations, warnings)
+        if not violations:
+            violations = self._overlap_defects(compiled)
+        self._report = ValidationReport(not violations, violations)
         if self._report.ok:
             self._compiled = compiled
         return self._report
 
-    @staticmethod
-    def _find_redex(word: str, strategy: str, start: int) -> int | None:
-        """The leftmost redex at or after ``start``, or the rightmost before it."""
-        if strategy == "rightmost":
-            positions = reversed(range(min(start, len(word) - 1)))
-        else:
-            positions = range(start, len(word) - 1)
-        for i in positions:
-            if word[i] > word[i + 1]:
-                return i
-        return None
+    def _overlap_defects(self, compiled: dict) -> list[str]:
+        """Each overlap z*y*x whose two reductions differ, with the defect
+        nf(z*nf(y*x)) - nf(nf(z*y)*x); the rules are complete and terminate."""
+        reducer = _Reducer(self, compiled, DEFAULT_BUDGET)
+        violations = []
+        for x, y, z in combinations(map(chr, range(self.n_central, len(self.alphabet))), 3):
+            defect = reducer.reduce((z + w, c) for w, c in compiled[(y, x)])
+            for w, c in reducer.reduce((w + x, -c) for w, c in compiled[(z, y)]).items():
+                _add_term(defect, w, c)
+            if defect:
+                text = self.algebra._poly(defect).text()
+                name = "".join(self.alphabet[ord(i)].name for i in z + y + x)
+                violations.append(f"overlap {name} does not resolve: defect {text}")
+        return violations
 
     def _check_input(self, p: NCPoly) -> None:
         report = self.validate()
@@ -218,55 +192,16 @@ class RelationSystem:
         if p.algebra != self.algebra:
             raise ContextMismatchError("polynomial belongs to a different context")
 
-    def normal_form(self, p: NCPoly, budget: int = DEFAULT_BUDGET,
-                    strategy: str = "memo") -> NCPoly:
+    def normal_form(self, p: NCPoly, budget: int = DEFAULT_BUDGET) -> NCPoly:
         """Rewrite to the ordered-monomial normal form.
 
-        ``strategy`` picks the reducer: "memo" (the default) folds each word
-        into its longest normal suffix one letter at a time with memoized
-        letter pushes, sharing the work between words with a common prefix;
-        "leftmost" and "rightmost" run the worklist, reducing that redex of
-        each word per step.  For confluent systems all three agree.
-        ``budget`` bounds the rule applications performed: the worklist
-        counts every step, central swaps included; the memoized reducer
-        counts each rule it applies to a new (letter, word) pair.
+        Each word is folded into its longest normal suffix one letter at a
+        time with memoized letter pushes, sharing the work between words
+        with a common prefix.  ``budget`` bounds the rule applications: each
+        rule applied to a new (letter, word) pair counts one.
         """
         self._check_input(p)
-        coded = self._encode(p.terms)
-        if strategy == "memo":
-            return self._decode(_Reducer(self, budget).reduce(coded))
-        if strategy not in ("leftmost", "rightmost"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-
-        # Each work item carries where its next redex search starts: the
-        # prefix before a leftmost redex is normal, and so is the suffix
-        # after a rightmost one, so only the seam around the rewritten pair
-        # needs scanning again.
-        leftmost = strategy == "leftmost"
-        central = chr(self.n_central)
-        acc: dict = {}
-        work = [(word, coeff, 0 if leftmost else len(word)) for word, coeff in coded]
-        steps = 0
-        while work:
-            word, coeff, start = work.pop()
-            i = self._find_redex(word, strategy, start)
-            if i is None:
-                _add_term(acc, word, coeff)
-                continue
-            steps += 1
-            if steps > budget:
-                raise BudgetExceededError(budget, steps, self._decode({word: 1}).text())
-            left, right = word[:i], word[i + 2:]
-            x, y = word[i], word[i + 1]
-            if y < central:
-                # a central letter in a redex is always its y: a plain swap
-                rewritten = [(y + x, coeff)]
-            else:
-                rewritten = [(w, coeff * c) for w, c in self._compiled[(x, y)]]
-            for rword, rcoeff in rewritten:
-                start = max(i - 1, 0) if leftmost else i + len(rword)
-                work.append((left + rword + right, rcoeff, start))
-        return self._decode(acc)
+        return self.algebra._poly(_Reducer(self, self._compiled, budget).reduce(p.terms.items()))
 
     def power(self, p: NCPoly, n: int, budget: int = DEFAULT_BUDGET) -> NCPoly:
         """The normal form of ``p ** n``, built as nf(p * nf(p^(n-1))).
@@ -277,14 +212,14 @@ class RelationSystem:
         self._check_input(p)
         if n < 0:
             raise ValueError("negative powers are not defined")
-        reducer = _Reducer(self, budget)
-        factor = self._encode(p.terms)
+        reducer = _Reducer(self, self._compiled, budget)
+        factor = p.terms.items()
         result: dict = {"": 1}
         for _ in range(n):
             result = reducer.reduce(
                 (w + u, c * cu) for w, c in factor for u, cu in result.items()
             )
-        return self._decode(result)
+        return self.algebra._poly(result)
 
     def quotient_eq(self, p: NCPoly, q: NCPoly, budget: int = DEFAULT_BUDGET) -> bool:
         """Equality in the quotient algebra: identical normal forms."""
@@ -298,23 +233,23 @@ class RelationSystem:
 class _Reducer:
     """Memoized normal forms for one call of ``normal_form`` or ``power``.
 
-    Words are coded as in ``RelationSystem``, each letter a one-character
-    string.  Central letters are moved into place without rules or memo
-    entries.  ``memo[(g, u)]`` holds nf(g * u) for a non-central letter g
+    Words are packed as in ``NCPoly.terms``, and ``compiled`` is the rule
+    table of ``RelationSystem.validate``.  Central letters are moved into
+    place without rules or memo entries.  ``memo[(g, u)]`` holds nf(g * u) for a non-central letter g
     and a normal word u free of central letters with u[0] < g; every entry
     is one rule application against the budget.
     """
 
-    def __init__(self, system: RelationSystem, budget: int):
+    def __init__(self, system: RelationSystem, compiled: dict, budget: int):
         self.system = system
-        self.compiled = system._compiled
+        self.compiled = compiled
         self.central = chr(system.n_central)  # the first non-central letter
         self.budget = budget
         self.steps = 0
         self.memo: dict[tuple[str, str], dict] = {}
 
     def reduce(self, terms) -> dict:
-        """nf of the coded (word, coeff) pairs, folding shared prefixes together.
+        """nf of the (packed word, coeff) pairs, folding shared prefixes together.
 
         Each word splits into its longest normal suffix and the prefix
         before it, so an already normal word costs one scan.  Suffixes are
@@ -370,7 +305,7 @@ class _Reducer:
                 continue
             self.steps += 1
             if self.steps > self.budget:
-                word = self.system._decode({need[0] + need[1]: 1}).text()
+                word = self.system.algebra._poly({need[0] + need[1]: 1}).text()
                 raise BudgetExceededError(self.budget, self.steps, word)
             stack.append((need, self._push(*need)))
             value = None  # a new generator starts on None
@@ -442,7 +377,7 @@ def make_family(family: str) -> RelationSystem:
         rules = {("B", "A"): a * b + c}
     else:
         raise ValueError(f"unknown relation family {family!r}")
-    return RelationSystem(alg, rules, name=family, builtin=True)
+    return RelationSystem(alg, rules, name=family)
 
 
 def _require(entry, key: str, where: str = ""):
@@ -528,4 +463,4 @@ def load_system(source) -> RelationSystem:
             raise MalformedSystemError(
                 f"malformed system file: {where} replacement: {exc}"
             ) from None
-    return RelationSystem(algebra, rules, name=None, builtin=False)
+    return RelationSystem(algebra, rules)

@@ -5,7 +5,8 @@ exact identities on deterministic ranges, plus randomized identity checks
 driven by a seeded generator so runs are reproducible.  Checks report the
 first counterexample as JSON-ready data instead of raising.
 The library's second paths live here, unexported: the D_k recurrence, the
-Weyl coefficient triangle, and the Hermite recurrence and explicit sum.
+Weyl coefficient triangle, the Hermite recurrence and explicit sum, and the
+worklist reducer against ``RelationSystem.normal_form``.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .binomial import (
 )
 from .diffop import DiffOp, Poly1, hermite, hermite_sequence, lambda_expansion, realize
 from .freealg import Algebra, NCPoly, commutator
-from .rewrite import make_family
-from .scalars import ParamPoly, binom, factorial, pairings
+from .rewrite import DEFAULT_BUDGET, BudgetExceededError, RelationSystem, make_family
+from .scalars import ParamPoly, _add_term, binom, factorial, pairings
 
 SUITES = ("statements", "theorem1", "theorem2", "hsq", "weyl", "exp", "hermite")
 
@@ -195,20 +196,76 @@ def weyl_realization_check(n: int) -> bool:
     return realized == expected and lambda_power_apply(n) == expected
 
 
+def _find_redex(word: str, leftmost: bool, start: int) -> int | None:
+    """The leftmost redex at or after ``start``, or the rightmost before it."""
+    if leftmost:
+        positions = range(start, len(word) - 1)
+    else:
+        positions = reversed(range(min(start, len(word) - 1)))
+    for i in positions:
+        if word[i] > word[i + 1]:
+            return i
+    return None
+
+
+def _worklist_normal_form(system: RelationSystem, p: NCPoly, leftmost: bool,
+                          budget: int = DEFAULT_BUDGET) -> NCPoly:
+    """The normal form by rewriting whole words, the leftmost or the
+    rightmost redex of each word per step: the oracle of ``normal_form``.
+
+    The rule table is built here from ``system.rules``, so a fault in the
+    reducer's compiled table shows as a disagreement.  ``budget`` counts
+    every step, central swaps included.
+    """
+    system._check_input(p)
+    letter = {g.name: chr(g.index) for g in system.alphabet}
+    rules = {(letter[later], letter[earlier]): replacement.canonical_terms()
+             for (later, earlier), replacement in system.rules.items()}
+
+    # Each work item carries where its next redex search starts: the
+    # prefix before a leftmost redex is normal, and so is the suffix
+    # after a rightmost one, so only the seam around the rewritten pair
+    # needs scanning again.
+    central = chr(system.n_central)
+    acc: dict = {}
+    work = [(word, coeff, 0 if leftmost else len(word)) for word, coeff in p.terms.items()]
+    steps = 0
+    while work:
+        word, coeff, start = work.pop()
+        i = _find_redex(word, leftmost, start)
+        if i is None:
+            _add_term(acc, word, coeff)
+            continue
+        steps += 1
+        if steps > budget:
+            raise BudgetExceededError(budget, steps, system.algebra._poly({word: 1}).text())
+        left, right = word[:i], word[i + 2:]
+        x, y = word[i], word[i + 1]
+        if y < central:
+            # a central letter in a redex is always its y: a plain swap
+            rewritten = [(y + x, coeff)]
+        else:
+            rewritten = [(w, coeff * c) for w, c in rules[(x, y)]]
+        for rword, rcoeff in rewritten:
+            start = max(i - 1, 0) if leftmost else i + len(rword)
+            work.append((left + rword + right, rcoeff, start))
+    return system.algebra._poly(acc)
+
+
 def strategy_agreement(family: str, cases: int = RANDOM_CASES,
                        max_degree: int = 6, seed: int = 0) -> CheckResult:
     """Reducer independence plus idempotence on random inputs.
 
-    The default memoized reducer must agree with the leftmost and the
-    rightmost worklist reduction, and a normal form must reduce to itself.
+    The memoized reducer must agree with the leftmost and the rightmost
+    worklist reduction, and a normal form must reduce to itself.
     """
     rng = random.Random(seed)
     system = make_family(family)
     for _ in range(cases):
         p = random_ncpoly(rng, system.algebra, max_degree=max_degree)
         memo = system.normal_form(p)
-        left = system.normal_form(p, strategy="leftmost")
-        right = system.normal_form(p, strategy="rightmost")
+        left = _worklist_normal_form(system, p, leftmost=True)
+        right = _worklist_normal_form(system, p, leftmost=False)
         if memo != left or left != right or system.normal_form(left) != left:
             return CheckResult(
                 f"{family}-strategy-agreement", False,

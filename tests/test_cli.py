@@ -5,7 +5,7 @@ import pytest
 from ncbinom import cli
 from ncbinom.binomial import free_pair, twisted_expand, weyl_triple
 from ncbinom.cli import build_parser, main
-from ncbinom.freealg import NCPoly
+from ncbinom.freealg import Algebra, NCPoly
 
 
 def run(capsys, *argv):
@@ -315,3 +315,25 @@ def test_numeric_coeff_in_relation_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed system file: rules entry 0 replacement ")
+
+
+def test_central_letter_declared_late_sorts_first(capsys, tmp_path):
+    # An algebra lists its central letters first, whatever the declaration
+    # order, and terms of one length sort by that order.
+    late = Algebra("A", "B", "C", central=("C",))
+    assert [g.name for g in late.generators] == ["C", "A", "B"]
+    assert repr(late) == "Algebra(C*, A, B)"
+    assert late == Algebra("C", "A", "B", central=("C",))
+    a, b, c = (late.gen(name) for name in "ABC")
+    assert (a * b + c * a).text() == "C*A + A*B"
+    assert [t["word"] for t in (a * b + c * a).to_json()["terms"]] == [["C", "A"], ["A", "B"]]
+
+    # The CLI prints A/B words, so its order changes only when exactly one
+    # of A and B is central and declared after the other.
+    path = tmp_path / "a_central_last.json"
+    path.write_text(json.dumps({"alphabet": [{"name": "B"}, {"name": "A", "central": True}],
+                                "rules": []}))
+    code, out, _ = run(capsys, "expand", "--n", "2", "--method", "brute",
+                       "--relation", str(path))
+    assert code == 0
+    assert out == "A^2 + A*B + B*A + B^2 | oracle_match: true\n"
