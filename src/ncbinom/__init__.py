@@ -61,7 +61,7 @@ from .scalars import (
     binom,
     factorial,
 )
-from .verify import SUITES, CheckResult, random_ncpoly, run_suite, strategy_agreement
+from .verify import SUITES, CheckResult, run_suite
 
 __version__ = "0.1.0"
 
@@ -113,8 +113,6 @@ __all__ = [
     "factorial",
     "SUITES",
     "CheckResult",
-    "random_ncpoly",
     "run_suite",
-    "strategy_agreement",
     "__version__",
 ]

@@ -16,7 +16,6 @@ import sys
 
 from .binomial import (
     EXPAND_METHODS,
-    IncompatibleRelationError,
     exp_defect,
     expansion_report,
     gamma_factors,
@@ -170,8 +169,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IncompatibleRelationError, InvalidSystemError, OSError,
-            KeyError, TypeError, ValueError) as exc:
+    except (InvalidSystemError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -396,7 +396,7 @@ def _require_list(value, key: str):
 
 
 def load_system(source) -> RelationSystem:
-    """Load a user-defined system from a JSON document, file path, or dict.
+    """Load a user-defined system from a JSON file path or a dict.
 
     Schema::
 

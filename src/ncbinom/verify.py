@@ -2,17 +2,23 @@
 
 Each suite is a list of independent named checks over the expansion engines:
 exact identities on deterministic ranges, plus randomized identity checks
-driven by a seeded generator so runs are reproducible.  Checks report the
-first counterexample as JSON-ready data instead of raising.
+driven by a seeded generator so runs are reproducible.  Every check scans
+its cases through ``_check``, which stops at the first counterexample and
+reports it as JSON-ready data instead of raising; a check over random draws
+takes them from a generator, so a failing check draws no further.
 The library's second paths live here, unexported: the D_k recurrence, the
-Weyl coefficient triangle, the Hermite recurrence and explicit sum, and the
-worklist reducer against ``RelationSystem.normal_form``.
+Weyl coefficient triangle, the Hermite recurrence and explicit sum, the
+worklist reducer against ``RelationSystem.normal_form``, and the twisted
+powers in closed form.  So do the check-only helpers ``random_ncpoly`` and
+``strategy_agreement``, which ``ncbinom`` does not export.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .binomial import (
     _ab,
@@ -31,8 +37,6 @@ from .diffop import DiffOp, Poly1, hermite, hermite_sequence, lambda_expansion, 
 from .freealg import Algebra, NCPoly, commutator
 from .rewrite import DEFAULT_BUDGET, BudgetExceededError, RelationSystem, make_family
 from .scalars import ParamPoly, _add_term, binom, factorial, pairings
-
-SUITES = ("statements", "theorem1", "theorem2", "hsq", "weyl", "exp", "hermite")
 
 RANDOM_CASES = 500
 _RANDOM_COEFFS = (-3, -2, -1, 1, 2, 3)
@@ -53,6 +57,27 @@ def _essential_recurrence(k: int, algebra: Algebra | None = None) -> NCPoly:
     for j in range(k):
         d = commutator(b, a ** j) + a * d + commutator(b, d)
     return d
+
+
+def _twisted_closed_form(k: int, algebra: Algebra | None = None) -> NCPoly:
+    """T_k term by term, with no products.
+
+    L_(A+B) and R_B commute and A + d_B = L_(A+B) - R_B, so in every
+    associative algebra T_k = sum_j (-1)^j C(k, j) (A + B)^(k-j) B^j.  In
+    the free algebra a word of length k >= 1 whose trailing run of B's has
+    length t < k therefore has coefficient (-1)^t C(k-1, t), and B^k has 0.
+    """
+    algebra, _, _ = _ab(algebra)
+    if k == 0:
+        return algebra.one()
+    a, b = (chr(algebra.generator(name).index) for name in "AB")
+    terms = {}
+    for t in range(k):
+        coeff = (-1) ** t * math.comb(k - 1, t)
+        tail = a + b * t
+        for head in itertools.product((a, b), repeat=k - 1 - t):
+            terms["".join(head) + tail] = coeff
+    return algebra._poly(terms)
 
 
 def _weyl_triangle(n: int, algebra: Algebra) -> list[NCPoly]:
@@ -261,21 +286,19 @@ def strategy_agreement(family: str, cases: int = RANDOM_CASES,
     """
     rng = random.Random(seed)
     system = make_family(family)
-    for _ in range(cases):
-        p = random_ncpoly(rng, system.algebra, max_degree=max_degree)
+
+    def agree(p):
         memo = system.normal_form(p)
         left = _worklist_normal_form(system, p, leftmost=True)
         right = _worklist_normal_form(system, p, leftmost=False)
         if memo != left or left != right or system.normal_form(left) != left:
-            return CheckResult(
-                f"{family}-strategy-agreement", False,
-                f"{cases} random polynomials, degree <= {max_degree}",
-                {"family": family, "input": p.to_json()},
-            )
-    return CheckResult(
-        f"{family}-strategy-agreement", True,
-        f"{cases} random polynomials, degree <= {max_degree}",
-    )
+            return {"family": family, "input": p.to_json()}
+        return None
+
+    draws = (random_ncpoly(rng, system.algebra, max_degree=max_degree)
+             for _ in range(cases))
+    return _check(f"{family}-strategy-agreement",
+                  f"{cases} random polynomials, degree <= {max_degree}", draws, agree)
 
 
 def _differs(value, expected, label: str, **where) -> dict | None:
@@ -283,32 +306,51 @@ def _differs(value, expected, label: str, **where) -> dict | None:
     return None if value == expected else {**where, label: value.to_json()}
 
 
-def _range_check(name: str, upper: int, detail: str, body) -> CheckResult:
-    """Run body(n) for n = 0..upper; body returns None or a counterexample."""
-    for n in range(upper + 1):
-        failure = body(n)
+def _check(name: str, detail: str, cases, body) -> CheckResult:
+    """Run body(case) for each case in turn; body returns None or a counterexample.
+
+    The scan stops at the first counterexample, so when ``cases`` is a
+    generator of random draws, a failing check draws no further.
+    """
+    for case in cases:
+        failure = body(case)
         if failure is not None:
             return CheckResult(name, False, detail, failure)
     return CheckResult(name, True, detail)
 
 
+def _quotient_check(system: RelationSystem, closed_form, n_max: int) -> CheckResult:
+    """closed_form(n) equals (A + B)^n in the quotient, n = 0..n_max."""
+    algebra = system.algebra
+    a, b = algebra.gen("A"), algebra.gen("B")
+
+    def quotient(n):
+        closed = closed_form(n, algebra)
+        if not system.quotient_eq(closed, (a + b) ** n):
+            return {"n": n, "closed_form": closed.to_json()}
+        return None
+
+    return _check("closed-form-quotient",
+                  f"quotient equality with brute power, n <= {n_max}",
+                  range(n_max + 1), quotient)
+
+
 def _suite_statements(bound, seed: int) -> list[CheckResult]:
     algebra = Algebra("A", "B", "C")
     rng = random.Random(seed)
-    cases = RANDOM_CASES
-    detail = f"{cases} random instances, degree <= 3"
+    detail = f"{RANDOM_CASES} random instances, degree <= 3"
 
-    def triple():
-        return (
-            random_ncpoly(rng, algebra),
-            random_ncpoly(rng, algebra),
-            random_ncpoly(rng, algebra),
-        )
+    def triples():
+        return ({name: random_ncpoly(rng, algebra) for name in "axy"}
+                for _ in range(RANDOM_CASES))
 
-    def ce(**polys):
-        return {name: value.to_json() for name, value in polys.items()}
+    def holds(predicate):
+        def body(triple):
+            if predicate(**triple):
+                return None
+            return {name: value.to_json() for name, value in triple.items()}
+        return body
 
-    results = []
     checks = [
         ("left-action-commutes",
          lambda a, x, y: a * commutator(a, x) == commutator(a, a * x)),
@@ -322,16 +364,9 @@ def _suite_statements(bound, seed: int) -> list[CheckResult]:
                           + commutator(x, commutator(y, a))
                           + commutator(y, commutator(a, x))).is_zero()),
     ]
-    for name, predicate in checks:
-        failure = None
-        for _ in range(cases):
-            a, x, y = triple()
-            if not predicate(a, x, y):
-                failure = ce(a=a, x=x, y=y)
-                break
-        results.append(CheckResult(name, failure is None, detail, failure))
-    results.append(strategy_agreement("commutative", seed=seed))
-    return results
+    # Each check draws from the shared rng where the one before it stopped.
+    return [_check(name, detail, triples(), holds(predicate))
+            for name, predicate in checks] + [strategy_agreement("commutative", seed=seed)]
 
 
 def _suite_theorem1(bound, seed: int) -> list[CheckResult]:
@@ -354,13 +389,14 @@ def _suite_theorem1(bound, seed: int) -> list[CheckResult]:
         reduced = commutative.normal_form(essential_part(k, commutative.algebra))
         return _differs(reduced, 0, "normal_form", k=k)
 
+    sizes = range(n_max + 1)
     return [
-        _range_check("twisted-expansion-oracle", n_max,
-                     f"free equality with brute power, n <= {n_max}", oracle),
-        _range_check("essential-part-paths", n_max,
-                     f"difference vs recurrence, k <= {n_max}", paths),
-        _range_check("commutative-collapse", n_max,
-                     f"normal form vanishes, k <= {n_max}", collapse),
+        _check("twisted-expansion-oracle",
+               f"free equality with brute power, n <= {n_max}", sizes, oracle),
+        _check("essential-part-paths",
+               f"difference vs recurrence, k <= {n_max}", sizes, paths),
+        _check("commutative-collapse",
+               f"normal form vanishes, k <= {n_max}", sizes, collapse),
     ]
 
 
@@ -381,17 +417,16 @@ def _suite_theorem2(bound, seed: int) -> list[CheckResult]:
     def power_defect(n):
         return _differs(m_power_defect(n, algebra), 0, "defect", n=n)
 
+    sizes = range(n_max + 1)
     return [
-        _range_check("derivation-expansion-oracle", n_max,
-                     f"free equality with brute power, n <= {n_max}",
-                     derivation_oracle),
-        _range_check("essential-expansion-oracle", n_max,
-                     f"free equality with brute power, n <= {n_max}",
-                     essential_oracle),
-        _range_check("m-product-defect-zero", n_max,
-                     f"n <= {n_max}", product_defect),
-        _range_check("m-power-defect-zero", n_max,
-                     f"n <= {n_max}", power_defect),
+        _check("derivation-expansion-oracle",
+               f"free equality with brute power, n <= {n_max}", sizes,
+               derivation_oracle),
+        _check("essential-expansion-oracle",
+               f"free equality with brute power, n <= {n_max}", sizes,
+               essential_oracle),
+        _check("m-product-defect-zero", f"n <= {n_max}", sizes, product_defect),
+        _check("m-power-defect-zero", f"n <= {n_max}", sizes, power_defect),
     ]
 
 
@@ -402,11 +437,6 @@ def _suite_hsq(bound, seed: int) -> list[CheckResult]:
     h = ParamPoly.param("h")
     n_max = bound(8)
     gamma_max = bound(12)
-
-    def quotient(n):
-        if not system.quotient_eq(closed_form_hsq(n, algebra), (a + b) ** n):
-            return {"n": n, "closed_form": closed_form_hsq(n, algebra).to_json()}
-        return None
 
     def coefficients(n):
         closed = closed_form_hsq(n, algebra)
@@ -437,23 +467,22 @@ def _suite_hsq(bound, seed: int) -> list[CheckResult]:
         return _differs(reduced, expected, "normal_form", k=k)
 
     def transport(k):
-        reduced = system.normal_form(commutator(b, a ** (k + 1)))
-        expected = (k + 1) * h * a ** (k + 2)
-        return _differs(reduced, expected, "normal_form", k=k + 1)
+        reduced = system.normal_form(commutator(b, a ** k))
+        return _differs(reduced, k * h * a ** (k + 1), "normal_form", k=k)
 
+    sizes = range(n_max + 1)
     return [
-        _range_check("closed-form-quotient", n_max,
-                     f"quotient equality with brute power, n <= {n_max}", quotient),
-        _range_check("coefficient-structure", n_max,
-                     f"binomial times gamma, n <= {n_max}", coefficients),
-        _range_check("h1-coefficients", n_max,
-                     f"falling factorials at h=1, n <= {n_max}", h_one),
-        _range_check("gamma-checkpoints", gamma_max,
-                     f"values at h=0 and h=1, n <= {gamma_max}", gamma_checkpoints),
-        _range_check("essential-collapse", n_max,
-                     f"(gamma_k - 1) A^k, k <= {n_max}", essential_collapse),
-        _range_check("derivation-transport", max(n_max - 1, 0),
-                     f"k h A^(k+1), k <= {n_max}", transport),
+        _quotient_check(system, closed_form_hsq, n_max),
+        _check("coefficient-structure",
+               f"binomial times gamma, n <= {n_max}", sizes, coefficients),
+        _check("h1-coefficients",
+               f"falling factorials at h=1, n <= {n_max}", sizes, h_one),
+        _check("gamma-checkpoints", f"values at h=0 and h=1, n <= {gamma_max}",
+               range(gamma_max + 1), gamma_checkpoints),
+        _check("essential-collapse",
+               f"(gamma_k - 1) A^k, k <= {n_max}", sizes, essential_collapse),
+        _check("derivation-transport", f"k h A^(k+1), k <= {n_max}",
+               range(1, max(n_max, 1) + 1), transport),
         strategy_agreement("hsq", seed=seed),
     ]
 
@@ -465,11 +494,6 @@ def _suite_weyl(bound, seed: int) -> list[CheckResult]:
     rng = random.Random(seed)
     n_max = bound(8)
     coeff_max = bound(20)
-
-    def quotient(n):
-        if not system.quotient_eq(closed_form_weyl(n, algebra), (a + b) ** n):
-            return {"n": n, "closed_form": closed_form_weyl(n, algebra).to_json()}
-        return None
 
     def coefficient_paths(n):
         for k, rec in enumerate(_weyl_triangle(n, algebra)):
@@ -485,46 +509,37 @@ def _suite_weyl(bound, seed: int) -> list[CheckResult]:
         return _differs(reduced, expected, "normal_form", n=n)
 
     def power_transport(k):
-        reduced = system.normal_form(commutator(b, a ** (k + 1)))
-        expected = (k + 1) * c * a ** k
-        return _differs(reduced, expected, "normal_form", k=k + 1)
+        reduced = system.normal_form(commutator(b, a ** k))
+        return _differs(reduced, k * c * a ** (k - 1), "normal_form", k=k)
 
-    centrality = CheckResult("centrality", True, "100 random polynomials")
-    for _ in range(100):
-        x = random_ncpoly(rng, algebra, max_degree=4)
-        if not system.normal_form(c * x - x * c).is_zero():
-            centrality = CheckResult("centrality", False,
-                                     "100 random polynomials",
-                                     {"input": x.to_json()})
-            break
+    def central(x):
+        if system.normal_form(c * x - x * c).is_zero():
+            return None
+        return {"input": x.to_json()}
 
+    draws = (random_ncpoly(rng, algebra, max_degree=4) for _ in range(100))
     return [
-        _range_check("closed-form-quotient", n_max,
-                     f"quotient equality with brute power, n <= {n_max}", quotient),
-        _range_check("coefficient-paths", coeff_max,
-                     f"recurrence vs closed form, n <= {coeff_max}",
-                     coefficient_paths),
-        _range_check("m-derivation-transport", n_max,
-                     f"n C M_(n-1), n <= {n_max}", m_transport),
-        _range_check("power-derivation-transport", max(n_max - 1, 0),
-                     f"k C A^(k-1), k <= {n_max}", power_transport),
-        centrality,
+        _quotient_check(system, closed_form_weyl, n_max),
+        _check("coefficient-paths", f"recurrence vs closed form, n <= {coeff_max}",
+               range(coeff_max + 1), coefficient_paths),
+        _check("m-derivation-transport", f"n C M_(n-1), n <= {n_max}",
+               range(n_max + 1), m_transport),
+        _check("power-derivation-transport", f"k C A^(k-1), k <= {n_max}",
+               range(1, max(n_max, 1) + 1), power_transport),
+        _check("centrality", "100 random polynomials", draws, central),
         strategy_agreement("weyl", seed=seed),
     ]
 
 
 def _suite_exp(bound, seed: int) -> list[CheckResult]:
     order = bound(6)
-    results = []
-    for which in ("factored", "split"):
-        defect = exp_defect(which, order)
-        results.append(CheckResult(
-            f"{which}-defect-zero", defect.is_zero(),
-            f"truncated to total degree <= {order}",
-            None if defect.is_zero() else {"order": order,
-                                           "defect": defect.to_json()},
-        ))
-    return results
+
+    def defect_zero(which):
+        return _differs(exp_defect(which, order), 0, "defect", order=order)
+
+    return [_check(f"{which}-defect-zero", f"truncated to total degree <= {order}",
+                   (which,), defect_zero)
+            for which in ("factored", "split")]
 
 
 def _suite_hermite(bound, seed: int) -> list[CheckResult]:
@@ -534,12 +549,9 @@ def _suite_hermite(bound, seed: int) -> list[CheckResult]:
     x2d_max = bound(6)
     weyl_max = bound(8)
 
-    def spot(_):
-        expected = {2: Poly1({2: 1, 0: -1}), 3: Poly1({3: 1, 1: -3})}
-        for n, value in expected.items():
-            if hermite(n) != value:
-                return {"n": n, "operator": hermite(n).to_json()}
-        return None
+    def spot(n):
+        expected = {2: Poly1({2: 1, 0: -1}), 3: Poly1({3: 1, 1: -3})}[n]
+        return _differs(hermite(n), expected, "operator", n=n)
 
     def realization(n):
         return _differs(m_realization(n), Poly1.x_power(n), "result", n=n)
@@ -561,38 +573,27 @@ def _suite_hermite(bound, seed: int) -> list[CheckResult]:
     def weyl_realized(n):
         return None if weyl_realization_check(n) else {"n": n}
 
-    _, disagreement = hermite_paths(n_max)
-    agreement = CheckResult("path-agreement", disagreement is None,
-                            f"three generation paths, n <= {n_max}", disagreement)
+    def sound(case):
+        f, g, p = case
+        if f.compose(g).apply(p) == f.apply(g.apply(p)):
+            return None
+        return {"f": repr(f), "g": repr(g), "p": p.to_json()}
 
-    compose = CheckResult("compose-soundness", True,
-                          "200 random operator pairs")
-    for _ in range(200):
-        f = _random_diffop(rng)
-        g = _random_diffop(rng)
-        p = _random_poly1(rng)
-        if f.compose(g).apply(p) != f.apply(g.apply(p)):
-            compose = CheckResult(
-                "compose-soundness", False, "200 random operator pairs",
-                {"f": repr(f), "g": repr(g), "p": p.to_json()},
-            )
-            break
-
+    draws = ((_random_diffop(rng), _random_diffop(rng), _random_poly1(rng))
+             for _ in range(200))
     return [
-        agreement,
-        _range_check("spot-checks", 0, "frozen values at n = 2, 3", spot),
-        _range_check("m-realization", real_max,
-                     f"ordered sum applied to 1 gives x^n, n <= {real_max}",
-                     realization),
-        _range_check("lambda-paths", real_max,
-                     f"closed form vs direct application, n <= {real_max}",
-                     lambda_paths),
-        _range_check("x2d-realization", x2d_max,
-                     f"seed degrees <= 3, n <= {x2d_max}", x2d),
-        _range_check("weyl-correspondence", weyl_max,
-                     f"closed form realized at C = lam, n <= {weyl_max}",
-                     weyl_realized),
-        compose,
+        _check("path-agreement", f"three generation paths, n <= {n_max}",
+               (n_max,), lambda n: hermite_paths(n)[1]),
+        _check("spot-checks", "frozen values at n = 2, 3", (2, 3), spot),
+        _check("m-realization", f"ordered sum applied to 1 gives x^n, n <= {real_max}",
+               range(real_max + 1), realization),
+        _check("lambda-paths", f"closed form vs direct application, n <= {real_max}",
+               range(real_max + 1), lambda_paths),
+        _check("x2d-realization", f"seed degrees <= 3, n <= {x2d_max}",
+               range(x2d_max + 1), x2d),
+        _check("weyl-correspondence", f"closed form realized at C = lam, n <= {weyl_max}",
+               range(weyl_max + 1), weyl_realized),
+        _check("compose-soundness", "200 random operator pairs", draws, sound),
     ]
 
 
@@ -621,6 +622,8 @@ _SUITE_FUNCS = {
     "hermite": _suite_hermite,
 }
 
+SUITES = tuple(_SUITE_FUNCS)
+
 
 def run_suite(suite: str, max_n: int | None = None,
               seed: int = 0) -> list[CheckResult]:
@@ -641,11 +644,5 @@ def run_suite(suite: str, max_n: int | None = None,
     def bound(default: int) -> int:
         return default if max_n is None else max_n
 
-    results = []
-    for name in names:
-        for result in _SUITE_FUNCS[name](bound, seed):
-            results.append(CheckResult(
-                f"{name}/{result.name}", result.passed,
-                result.detail, result.counterexample,
-            ))
-    return results
+    return [replace(result, name=f"{name}/{result.name}")
+            for name in names for result in _SUITE_FUNCS[name](bound, seed)]

@@ -28,6 +28,7 @@ from ncbinom.rewrite import make_family
 from ncbinom.scalars import ParamPoly, binom, factorial
 from ncbinom.verify import (
     _essential_recurrence,
+    _twisted_closed_form,
     _weyl_triangle,
     m_power_defect,
     m_product_defect,
@@ -57,6 +58,11 @@ def test_twisted_expand_values():
 def test_twisted_expand_matches_brute():
     for n in range(7):
         assert twisted_expand(n) == brute(n)
+
+
+def test_twisted_closed_form_matches_twisted_powers():
+    for k, t_k in enumerate(twisted_powers(A, B, 14)):
+        assert _twisted_closed_form(k, ALG) == t_k
 
 
 def test_essential_part_values():

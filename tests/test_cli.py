@@ -103,6 +103,17 @@ def test_negative_sizes_are_usage_errors(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("error", [KeyError("x"), TypeError("x")])
+def test_engine_fault_is_not_a_usage_error(monkeypatch, error):
+    # Only input faults become exit 2; a fault inside an engine leaves main.
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "expansion_report", broken)
+    with pytest.raises(type(error)):
+        main(["expand", "--n", "2", "--method", "brute"])
+
+
 def test_expand_bad_method_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["expand", "--n", "2", "--method", "magic"])

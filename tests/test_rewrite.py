@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import random
 
 import pytest
@@ -15,7 +16,12 @@ from ncbinom.rewrite import (
     make_family,
 )
 from ncbinom.scalars import ParamPoly
-from ncbinom.verify import _worklist_normal_form, random_ncpoly, strategy_agreement
+from ncbinom.verify import (
+    _twisted_closed_form,
+    _worklist_normal_form,
+    random_ncpoly,
+    strategy_agreement,
+)
 
 H = ParamPoly.param("h")
 
@@ -366,6 +372,23 @@ def test_closed_forms_match_power_at_24():
     wa, wb = weyl.gen("A"), weyl.gen("B")
     closed = weyl.normal_form(closed_form_weyl(24, weyl.algebra))
     assert closed == weyl.power(wa + wb, 24)
+
+
+def test_twisted_closed_form_in_quotients():
+    # T_k = sum_j (-1)^j C(k, j) (A + B)^(k-j) B^j in every associative
+    # algebra, and T_(k+1) = A*T_k + [B, T_k] may be reduced at every step.
+    for system in _systems():
+        algebra = system.algebra
+        a, b = algebra.gen("A"), algebra.gen("B")
+        step = algebra.one()
+        for k in range(11):
+            closed = system.normal_form(_twisted_closed_form(k, algebra))
+            sum_form = algebra.zero()
+            for j in range(k + 1):
+                sum_form = sum_form + (-1) ** j * math.comb(k, j) * system.power(a + b, k - j) * b ** j
+            assert system.normal_form(sum_form) == closed
+            assert step == closed
+            step = system.normal_form(a * step + b * step - step * b)
 
 
 def test_long_word_does_not_deepen_the_stack():
