@@ -6,8 +6,10 @@ and the M-basis form (ordered binomial sums M_n plus derivation corrections),
 together with the closed forms they specialize to when the commutator [B, A]
 is h*A^2 (gamma coefficients) or a central element C (Weyl-style).
 
-The brute-force oracle throughout is ``(a + b) ** n`` in the free algebra.
-Each function computes one path; the D_k recurrence and the Weyl coefficient
+The brute-force oracle throughout is ``(a + b) ** n`` in the free algebra,
+the ``brute`` engine of ``_METHODS`` (method -> engine and required family).
+Every engine refuses a negative n with "n must be non-negative".  Each
+function computes one path; the D_k recurrence and the Weyl coefficient
 triangle that check them are private to :mod:`ncbinom.verify`.
 """
 
@@ -18,18 +20,6 @@ from dataclasses import dataclass
 from .freealg import Algebra, NCPoly, commutator, twisted_power, twisted_powers
 from .rewrite import FAMILIES, RelationSystem, load_system, make_family
 from .scalars import ParamPoly, binom, factorial, pairings
-
-EXPAND_METHODS = (
-    "brute",
-    "theorem1",
-    "corollary1",
-    "theorem2",
-    "closed_hsq",
-    "closed_weyl",
-)
-
-# which closed-form method requires which relation family
-_CLOSED_METHODS = {"closed_hsq": "hsq", "closed_weyl": "weyl"}
 
 
 class IncompatibleRelationError(ValueError):
@@ -52,15 +42,18 @@ def _ab(algebra: Algebra | None) -> tuple[Algebra, NCPoly, NCPoly]:
     return algebra, algebra.gen("A"), algebra.gen("B")
 
 
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be non-negative")
+
+
 def _ordered_sum(coeffs: list, algebra: Algebra | None) -> NCPoly:
-    """sum_k coeffs[k] A^k B^(n-k), where n = len(coeffs) - 1."""
-    if algebra is None:
-        algebra = free_pair()
-    gen_a = algebra.generator("A")
-    gen_b = algebra.generator("B")
+    """sum_k coeffs[k] A^k B^(n-k), where n = len(coeffs) - 1; no coeff is 0."""
+    algebra, _, _ = _ab(algebra)
+    a, b = (chr(algebra.generator(name).index) for name in "AB")
     n = len(coeffs) - 1
-    return algebra.from_terms(
-        ((gen_a,) * k + (gen_b,) * (n - k), coeff) for k, coeff in enumerate(coeffs)
+    return algebra._poly(
+        {a * k + b * (n - k): NCPoly._coeff(coeff) for k, coeff in enumerate(coeffs)}
     )
 
 
@@ -72,6 +65,7 @@ def _essential_parts(a: NCPoly, b: NCPoly, n: int):
 
 def m_basis(n: int, algebra: Algebra | None = None) -> NCPoly:
     """The ordered binomial sum M_n = sum_k C(n,k) A^k B^(n-k)."""
+    _check_n(n)
     return _ordered_sum([binom(n, k) for k in range(n + 1)], algebra)
 
 
@@ -84,12 +78,20 @@ def twisted_expand(n: int, algebra: Algebra | None = None) -> NCPoly:
     per-call step count perfbench/tracer.py reports as
     ``binomial.twisted_steps``.
     """
+    _check_n(n)
     algebra, a, b = _ab(algebra)
     b_powers = list(b.powers(n))
     total = algebra.zero()
     for k in range(n + 1):
         total = total + binom(n, k) * twisted_power(a, b, k) * b_powers[n - k]
     return total
+
+
+def _brute_power(n: int, algebra: Algebra | None = None) -> NCPoly:
+    """(A+B)^n by repeated multiplication: the free oracle of every method."""
+    _check_n(n)
+    algebra, a, b = _ab(algebra)
+    return (a + b) ** n
 
 
 def essential_part(k: int, algebra: Algebra | None = None) -> NCPoly:
@@ -104,8 +106,8 @@ def essential_part(k: int, algebra: Algebra | None = None) -> NCPoly:
 def essential_expand(n: int, algebra: Algebra | None = None) -> NCPoly:
     """Expansion M_n + sum_k C(n,k) D_k B^(n-k); equals (A+B)^n freely."""
     algebra, a, b = _ab(algebra)
-    b_powers = list(b.powers(n))
     total = m_basis(n, algebra)
+    b_powers = list(b.powers(n))
     for k, d_k in enumerate(_essential_parts(a, b, n)):
         if not d_k.is_zero():
             total = total + binom(n, k) * d_k * b_powers[n - k]
@@ -130,8 +132,7 @@ def gamma_factors(n: int):
 
     Each element costs one product with the one before.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _check_n(n)
     h = ParamPoly.param("h")
     value = ParamPoly.one()
     yield value
@@ -166,8 +167,8 @@ def weyl_coefficient(n: int, k: int, algebra: Algebra | None = None) -> NCPoly:
         algebra = weyl_triple()
     if k < 0 or 2 * k > n:
         raise ValueError(f"k must satisfy 0 <= 2k <= n, got n={n}, k={k}")
-    word = (algebra.generator("C"),) * k
-    return NCPoly(algebra, {word: pairings(n, k)})
+    c = chr(algebra.generator("C").index)
+    return algebra._poly({c * k: NCPoly._coeff(pairings(n, k))})
 
 
 def closed_form_weyl(n: int, algebra: Algebra | None = None) -> NCPoly:
@@ -176,6 +177,7 @@ def closed_form_weyl(n: int, algebra: Algebra | None = None) -> NCPoly:
     Quotient-equal to (A+B)^n under the Weyl relation; the C powers are
     kept on the right as constructed (they are central anyway).
     """
+    _check_n(n)
     if algebra is None:
         algebra = weyl_triple()
     total = algebra.zero()
@@ -186,6 +188,7 @@ def closed_form_weyl(n: int, algebra: Algebra | None = None) -> NCPoly:
 
 def weyl_m_text(n: int) -> str:
     """Render the Weyl closed form over the M-basis, e.g. ``M_2 + C``."""
+    _check_n(n)
     pieces = []
     for k in range(n // 2 + 1):
         value = pairings(n, k)
@@ -256,6 +259,18 @@ def resolve_relation(relation) -> tuple[RelationSystem | None, str | None]:
     raise TypeError(f"cannot interpret {relation!r} as a relation system")
 
 
+# expand method -> (engine f(n, algebra), relation family it requires or None)
+_METHODS = {
+    "brute": (_brute_power, None),
+    "theorem1": (twisted_expand, None),
+    "corollary1": (essential_expand, None),
+    "theorem2": (m_derivation_expand, None),
+    "closed_hsq": (closed_form_hsq, "hsq"),
+    "closed_weyl": (closed_form_weyl, "weyl"),
+}
+EXPAND_METHODS = tuple(_METHODS)
+
+
 @dataclass
 class ExpansionReport:
     """One expansion next to its brute-force oracle verdict."""
@@ -267,28 +282,24 @@ class ExpansionReport:
     result: NCPoly
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "method": self.method,
-            "relation": self.relation,
-            "oracle_match": self.oracle_match,
-            "result": self.result.to_json(),
-        }
+        """The fields in declaration order, with the result as JSON."""
+        return {**vars(self), "result": self.result.to_json()}
 
 
 def expansion_report(n: int, method: str, relation=None) -> ExpansionReport:
     """Run one expansion method and compare it against (A+B)^n.
 
-    Without a relation the result is compared structurally with the free
-    power.  Under a relation its normal form is compared with the quotient
+    The engine and its required family (supplied when the relation is
+    omitted) come from ``_METHODS``.  Without a relation the result is
+    compared with the free power, so a free ``brute`` result is its own
+    oracle.  Under a relation its normal form is compared with the quotient
     power ``system.power(A+B, n)``, which never forms the 2^n free words.
-    The closed forms require their own family (supplied automatically when
-    omitted).
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _check_n(n)
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    engine, required = _METHODS[method]
     system, label = resolve_relation(relation)
-    required = _CLOSED_METHODS.get(method)
     if required is not None:
         if system is None:
             system, label = make_family(required), required
@@ -301,23 +312,10 @@ def expansion_report(n: int, method: str, relation=None) -> ExpansionReport:
         raise IncompatibleRelationError(
             "the relation system must declare generators A and B"
         )
-    if method == "brute":
-        result = (algebra.gen("A") + algebra.gen("B")) ** n
-    elif method == "theorem1":
-        result = twisted_expand(n, algebra)
-    elif method == "corollary1":
-        result = essential_expand(n, algebra)
-    elif method == "theorem2":
-        result = m_derivation_expand(n, algebra)
-    elif method == "closed_hsq":
-        result = closed_form_hsq(n, algebra)
-    elif method == "closed_weyl":
-        result = closed_form_weyl(n, algebra)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    s = algebra.gen("A") + algebra.gen("B")
+    result = engine(n, algebra)
     if system is None:
-        match = result == s ** n
+        match = engine is _brute_power or result == _brute_power(n, algebra)
     else:
+        s = algebra.gen("A") + algebra.gen("B")
         match = system.normal_form(result) == system.power(s, n)
     return ExpansionReport(n, method, label, match, result)

@@ -167,10 +167,10 @@ def m_power_defect(n: int, algebra: Algebra | None = None) -> NCPoly:
     return total
 
 
-def lambda_power_apply(n: int, seed: Poly1 | None = None) -> Poly1:
-    """(x + lam*D)^n applied directly, term by term; the oracle path."""
+def lambda_power_apply(n: int) -> Poly1:
+    """(x + lam*D)^n applied to 1 directly, term by term; the oracle path."""
     op = DiffOp.x() + ParamPoly.param("lam") * DiffOp.d()
-    result = Poly1.one() if seed is None else seed
+    result = Poly1.one()
     for _ in range(n):
         result = op.apply(result)
     return result

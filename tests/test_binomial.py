@@ -5,6 +5,7 @@ import pytest
 
 from ncbinom import freealg
 from ncbinom.binomial import (
+    _METHODS,
     ExpansionReport,
     IncompatibleRelationError,
     closed_form_hsq,
@@ -244,6 +245,33 @@ def test_expansion_report_incompatibilities():
         expansion_report(2, "telescope")
     with pytest.raises(ValueError):
         expansion_report(-1, "brute")
+
+
+ENGINES = {method: engine for method, (engine, _) in _METHODS.items()}
+ENGINES.update(m_basis=m_basis, weyl_m_text=weyl_m_text)
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_negative_n_is_refused(name):
+    with pytest.raises(ValueError, match="^n must be non-negative$"):
+        ENGINES[name](-1)
+
+
+def test_free_brute_report_builds_the_power_once(monkeypatch):
+    """A free ``brute`` result is its own oracle: (A+B)^n is built once."""
+    calls = []
+    powers = NCPoly.powers
+
+    def counting_powers(self, n):
+        calls.append((len(self.terms), n))
+        return powers(self, n)
+
+    monkeypatch.setattr(NCPoly, "powers", counting_powers)
+    for n in (0, 3, 7):
+        calls.clear()
+        report = expansion_report(n, "brute")
+        assert calls == [(2, n)]
+        assert report.oracle_match and report.result == (A + B) ** n
 
 
 def test_weyl_coefficient_value_type():

@@ -6,13 +6,16 @@ byte for byte.  The ``python`` Library block is executed, so its asserts
 must hold.
 """
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from ncbinom.cli import main
+from ncbinom.binomial import EXPAND_METHODS
+from ncbinom.cli import build_parser, main
+from ncbinom.verify import SUITES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FENCE = re.compile(r"^```(\w*)\n(.*?)^```$", re.MULTILINE | re.DOTALL)
@@ -53,3 +56,20 @@ def test_cli_example(command, expected, capsys):
 def test_library_example():
     (code,) = _blocks("python")
     exec(compile(code, str(README), "exec"), {})
+
+
+def _listed_names(label: str) -> list[str]:
+    """The backticked names of the README sentence that starts with ``label``."""
+    text = README.read_text(encoding="utf-8")
+    (sentence,) = re.findall(rf"^{label} (.*?)\.\s", text, re.MULTILINE | re.DOTALL)
+    return re.findall(r"`([^`]+)`", sentence)
+
+
+def test_listed_methods_and_suites_match_the_code():
+    assert _listed_names("Methods:") == list(EXPAND_METHODS)
+    assert _listed_names("Named verification suites:") == [*SUITES, "all"]
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    (method,) = [action for action in commands.choices["expand"]._actions
+                 if action.dest == "method"]
+    assert list(method.choices) == list(EXPAND_METHODS)
