@@ -14,6 +14,14 @@ a finite linear combination of keys and shares the ring plumbing of
 ``_Sparse``; each type supplies only its key product, key text and term
 order.
 
+A ``ParamPoly`` monomial is one ``int`` with a bit field per parameter, in
+the order parameters are first used, so the monomial product is ``int``
+addition (packed exponent vectors: Monagan and Pearce, CASC 2007).  Keys
+are packed or decoded to sorted ``(name, power)`` tuples only at the
+boundary, so the field order never shows.  ``ParamPoly`` has no context:
+its sums and products with a ``ParamPoly``, ``int`` or ``Fraction`` skip the
+lift of ``_Sparse``.
+
 A coefficient of ``NCPoly``, ``Poly1`` or ``DiffOp`` is stored bare, as an
 ``int`` or ``Fraction``, when it is constant, and as a ``ParamPoly`` only when
 it has a non-constant monomial.  Most coefficients the expansions produce are
@@ -33,11 +41,11 @@ Q[params] has no zero divisors, so no coefficient cancels.
 from __future__ import annotations
 
 import math
+import operator
 import re
+import threading
 from fractions import Fraction
-
-# A monomial in the parameters: sorted tuple of (name, power), powers > 0.
-Monomial = tuple[tuple[str, int], ...]
+from functools import reduce
 
 
 class UnboundParameterError(ValueError):
@@ -100,7 +108,7 @@ def _demote(value: ParamPoly):
         return value
     if not terms:
         return 0
-    return terms.get((), value)
+    return terms.get(0, value)
 
 
 def _box(coeff) -> ParamPoly:
@@ -136,14 +144,13 @@ class _Sparse:
     constant and a ``ParamPoly`` only when it has a non-constant monomial
     (in ``ParamPoly`` itself always a bare rational), and the scalars
     ``int``, ``Fraction`` and ``ParamPoly`` lift onto the unit key.  A subclass
-    supplies its key product ``_key_mul`` (or overrides ``_mul`` when one
-    key pair yields several keys), its key text ``_key_text`` and its term
-    order, as ``_order`` (a sort key on keys) or its own ``canonical_terms``.
+    supplies its unit key ``_UNIT``, its key product ``_key_mul`` (or
+    overrides ``_mul`` when one key pair yields several keys), its key text
+    ``_key_text`` and its term order, as ``_order`` (a sort key on keys) or
+    its own ``canonical_terms``.
     """
 
     __slots__ = ("terms",)
-
-    _UNIT = ()  # the key of the multiplicative unit
 
     def __init__(self, terms: dict | None = None):
         """Build from a key -> scalar map, converting values, dropping zeros."""
@@ -323,19 +330,53 @@ class _Sparse:
         return f"{type(self).__name__}({self.text()})"
 
 
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    powers = dict(m1)
-    for name, p in m2:
-        powers[name] = powers.get(name, 0) + p
-    return tuple(sorted(powers.items()))
+# Field i, the bits from _FIELD*i up, holds the power of _NAMES[i].  Stored
+# powers stay below each field's top (guard) bit, so the sum of two never
+# carries into the next field, and it sets the guard when it does not fit.
+_FIELD = 32
+_MASK = (1 << _FIELD) - 1
+_NAMES: list[str] = []  # in order of first use
+_GUARD = 0  # the guard bit of every registered field
+_REGISTRY = threading.Lock()
 
 
-def _monomial_text(mono: Monomial) -> str:
-    return "*".join(name if power == 1 else f"{name}^{power}" for name, power in mono)
+def _shift(name: str) -> int:
+    """The offset of ``name``'s field, registering a name met the first time."""
+    global _GUARD
+    with _REGISTRY:
+        if name not in _NAMES:
+            _GUARD |= 1 << (_FIELD * len(_NAMES) + _FIELD - 1)
+            _NAMES.append(name)
+        return _FIELD * _NAMES.index(name)
+
+
+def _pack(mono) -> int:
+    """A monomial from outside, (name, power) pairs in any order, as a key."""
+    powers: dict = {}
+    for name, power in mono:
+        if not isinstance(power, int) or power < 0:
+            raise ValueError(f"power {power!r} of parameter {name!r} is not a non-negative integer")
+        powers[name] = powers.get(name, 0) + power
+    key = 0
+    for name, power in powers.items():
+        if power >> (_FIELD - 1):
+            raise ValueError(f"power {power} of parameter {name!r} is not below 2^{_FIELD - 1}")
+        key += power << _shift(name)
+    return key
+
+
+def _unpack(key: int) -> tuple:
+    """A key as its monomial: sorted (name, power) pairs, powers > 0."""
+    mono = []
+    for name in _NAMES:
+        if key & _MASK:
+            mono.append((name, key & _MASK))
+        key >>= _FIELD
+    return tuple(sorted(mono))
+
+
+def _monomial_text(key: int) -> str:
+    return "*".join(name if power == 1 else f"{name}^{power}" for name, power in _unpack(key))
 
 
 _TERM_SPLIT = re.compile(r" ([+-]) ")
@@ -346,13 +387,29 @@ _NUMBER = re.compile(r"^[0-9]+(?:/[0-9]+)?$")
 class ParamPoly(_Sparse):
     """Sparse multivariate polynomial in named parameters over the rationals.
 
-    Terms map a monomial (sorted tuple of (name, power) pairs, no zero
-    powers) to a nonzero rational, an ``int`` or a ``Fraction`` (a scalar
-    from outside enters as an ``int`` when integral).  Rendered by total
-    degree, then exponent vector.
+    Terms map a packed monomial (see ``_pack``) to a nonzero rational, an
+    ``int`` or a ``Fraction`` (a scalar from outside enters as an ``int``
+    when integral).  The constructor takes monomials as (name, power)
+    pairs.  Rendered by total degree, then the sorted (name, power) tuple.
     """
 
     __slots__ = ()
+
+    _UNIT = 0
+    _key_mul = staticmethod(operator.add)
+    _key_text = staticmethod(_monomial_text)
+
+    def __init__(self, terms: dict | None = None):
+        """Build from a monomial -> scalar map, merging equal monomials."""
+        self.terms = {}
+        for mono, value in (terms or {}).items():
+            coeff = self._coeff(value)
+            if coeff:
+                _add_term(self.terms, _pack(mono), coeff)
+
+    def __reduce__(self):
+        # pickle decoded monomials: another process may order the fields otherwise
+        return ParamPoly, ({_unpack(key): c for key, c in self.terms.items()},)
 
     @staticmethod
     def _coeff(value):
@@ -362,17 +419,45 @@ class ParamPoly(_Sparse):
         value = Fraction(value)
         return value.numerator if value.denominator == 1 else value
 
-    _key_mul = staticmethod(_mul_monomials)
-    _key_text = staticmethod(_monomial_text)
-
     @staticmethod
-    def _order(mono: Monomial):
+    def _order(key: int):
+        mono = _unpack(key)
         return (sum(p for _, p in mono), mono)
 
-    # Bound here, not only inherited, so that per-class tracing
-    # (perfbench/tracer.py) counts the scalar sums and products.
-    __add__ = __radd__ = _Sparse.__add__
-    __mul__ = __rmul__ = _Sparse.__mul__
+    def __add__(self, other):
+        if type(other) is ParamPoly:
+            items = other.terms.items()
+        elif isinstance(other, (int, Fraction)):
+            other = self._coeff(other)
+            items = ((0, other),) if other else ()
+        else:
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, coeff in items:
+            if key in terms:
+                total = terms[key] + coeff
+                if total:
+                    terms[key] = total
+                else:
+                    del terms[key]
+            else:
+                terms[key] = coeff
+        return self._new(terms)
+
+    def __mul__(self, other):
+        if type(other) is ParamPoly:
+            product = self._mul(other)
+            overflow = _GUARD & reduce(operator.or_, product.terms, 0)
+            if overflow:
+                name = _NAMES[(overflow.bit_length() - 1) // _FIELD]
+                raise OverflowError(f"a power of parameter {name!r} reaches 2^{_FIELD - 1}")
+            return product
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
+        return NotImplemented
+
+    __radd__ = __add__
+    __rmul__ = __mul__
 
     @classmethod
     def zero(cls) -> ParamPoly:
@@ -388,27 +473,23 @@ class ParamPoly(_Sparse):
 
     @classmethod
     def param(cls, name: str, power: int = 1) -> ParamPoly:
-        if power < 0:
-            raise ValueError("parameter powers must be non-negative")
-        if power == 0:
-            return cls.one()
         return cls({((name, power),): 1})
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {()}
+        return not self.terms or set(self.terms) == {0}
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (error otherwise)."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return Fraction(self.terms.get((), 0))
+        return Fraction(self.terms.get(0, 0))
 
     def parameters(self) -> set[str]:
-        return {name for mono in self.terms for name, _ in mono}
+        return {name for key in self.terms for name, _ in _unpack(key)}
 
     def degree(self) -> int:
         """Total degree; 0 for constants (including zero)."""
-        return max((sum(p for _, p in mono) for mono in self.terms), default=0)
+        return max((self._order(key)[0] for key in self.terms), default=0)
 
     def evaluate(self, bindings: dict) -> Fraction:
         """Substitute every parameter and return the exact value.
@@ -416,9 +497,9 @@ class ParamPoly(_Sparse):
         Every parameter occurring in the polynomial must be bound.
         """
         result = Fraction(0)
-        for mono, coeff in self.terms.items():
+        for key, coeff in self.terms.items():
             value = coeff
-            for name, power in mono:
+            for name, power in _unpack(key):
                 if name not in bindings:
                     raise UnboundParameterError(name)
                 value *= Fraction(bindings[name]) ** power
@@ -427,16 +508,17 @@ class ParamPoly(_Sparse):
 
     def substitute(self, bindings: dict) -> ParamPoly:
         """Bind a subset of the parameters, keeping the rest symbolic."""
-        out = ParamPoly.zero()
-        for mono, coeff in self.terms.items():
-            factor = ParamPoly.const(coeff)
-            for name, power in mono:
+        terms: dict = {}
+        for key, coeff in self.terms.items():
+            kept = 0
+            for name, power in _unpack(key):
                 if name in bindings:
-                    factor = factor * (Fraction(bindings[name]) ** power)
+                    coeff = coeff * self._coeff(Fraction(bindings[name]) ** power)
                 else:
-                    factor = factor * ParamPoly.param(name, power)
-            out = out + factor
-        return out
+                    kept += power << _shift(name)
+            if coeff:
+                _add_term(terms, kept, coeff)
+        return self._new(terms)
 
     @classmethod
     def from_text(cls, text: str) -> ParamPoly:
@@ -447,7 +529,7 @@ class ParamPoly(_Sparse):
         if text == "0":
             return cls.zero()
         pieces = _TERM_SPLIT.split(text)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[tuple, Fraction] = {}
         sign = Fraction(1)
         for i, piece in enumerate(pieces):
             if i % 2 == 1:
@@ -458,7 +540,7 @@ class ParamPoly(_Sparse):
         return cls(terms)
 
     @staticmethod
-    def _parse_term(piece: str) -> tuple[Monomial, Fraction]:
+    def _parse_term(piece: str) -> tuple[tuple, Fraction]:
         piece = piece.strip()
         coeff = Fraction(1)
         if piece.startswith("-"):

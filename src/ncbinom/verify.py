@@ -221,18 +221,6 @@ def weyl_realization_check(n: int) -> bool:
     return realized == expected and lambda_power_apply(n) == expected
 
 
-def _find_redex(word: str, leftmost: bool, start: int) -> int | None:
-    """The leftmost redex at or after ``start``, or the rightmost before it."""
-    if leftmost:
-        positions = range(start, len(word) - 1)
-    else:
-        positions = reversed(range(min(start, len(word) - 1)))
-    for i in positions:
-        if word[i] > word[i + 1]:
-            return i
-    return None
-
-
 def _worklist_normal_form(system: RelationSystem, p: NCPoly, leftmost: bool,
                           budget: int = DEFAULT_BUDGET) -> NCPoly:
     """The normal form by rewriting whole words, the leftmost or the
@@ -257,8 +245,15 @@ def _worklist_normal_form(system: RelationSystem, p: NCPoly, leftmost: bool,
     steps = 0
     while work:
         word, coeff, start = work.pop()
-        i = _find_redex(word, leftmost, start)
-        if i is None:
+        # the leftmost redex at or after start, or the rightmost before it
+        if leftmost:
+            positions = range(start, len(word) - 1)
+        else:
+            positions = reversed(range(min(start, len(word) - 1)))
+        for i in positions:
+            if word[i] > word[i + 1]:
+                break
+        else:
             _add_term(acc, word, coeff)
             continue
         steps += 1

@@ -1,17 +1,23 @@
+import json
 import operator
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncbinom import scalars
 from ncbinom.binomial import closed_form_hsq
 from ncbinom.diffop import DiffOp, Poly1, lambda_expansion
 from ncbinom.freealg import Algebra, NCPoly
 from ncbinom.rewrite import load_system, make_family
-from ncbinom.scalars import ParamPoly, UnboundParameterError, binom, factorial
+from ncbinom.scalars import ParamPoly, UnboundParameterError, _unpack, binom, factorial
 
 
 def monomials():
@@ -133,9 +139,9 @@ def test_from_text_forms():
 
 
 def test_integral_coefficients_are_ints():
-    assert type(ParamPoly.const(Fraction(6, 3)).terms[()]) is int
-    assert type(ParamPoly.const(Fraction(1, 2)).terms[()]) is Fraction
-    assert type((ParamPoly.const(2) * ParamPoly.const(3)).terms[()]) is int
+    assert type(ParamPoly.const(Fraction(6, 3)).terms[ParamPoly._UNIT]) is int
+    assert type(ParamPoly.const(Fraction(1, 2)).terms[ParamPoly._UNIT]) is Fraction
+    assert type((ParamPoly.const(2) * ParamPoly.const(3)).terms[ParamPoly._UNIT]) is int
     assert ParamPoly.const(3) == ParamPoly.const(Fraction(3))
     assert ParamPoly.const(3).text() == ParamPoly.const(Fraction(3)).text() == "3"
     a = Algebra("A").gen("A")
@@ -148,7 +154,7 @@ def test_integral_coefficients_are_ints():
     half = ParamPoly.const(Fraction(1, 2))
     for whole in (half * 2, half + half):
         assert whole == ParamPoly.const(1) and whole.text() == "1"
-        assert hash(whole.terms[()]) == hash(1)
+        assert hash(whole.terms[ParamPoly._UNIT]) == hash(1)
 
 
 def _assert_stored_bare(value):
@@ -230,7 +236,7 @@ def test_constant_coefficients_are_stored_bare():
         _assert_stored_bare(doubled)
     doubled = Fraction(6, 3) * a
     assert type(dict(doubled.items())[alg.word("A")]) is int
-    assert type((Fraction(6, 3) * ParamPoly.const(1)).terms[()]) is int
+    assert type((Fraction(6, 3) * ParamPoly.const(1)).terms[ParamPoly._UNIT]) is int
 
 
 def test_degree_and_parameters():
@@ -242,6 +248,87 @@ def test_degree_and_parameters():
     assert ParamPoly.const(5).constant_value() == 5
     with pytest.raises(ValueError):
         p.constant_value()
+
+
+def test_constructor_packs_monomials_canonically():
+    h, lam = ParamPoly.param("h"), ParamPoly.param("lam")
+    unit = ParamPoly({(("h", 0),): 1})
+    assert unit == 1 and unit.text() == "1"
+    swapped = ParamPoly({(("lam", 1), ("h", 1)): 1})
+    assert swapped == h * lam
+    assert (swapped + h * lam).text() == "2*h*lam"
+    assert ParamPoly({(("h", 1), ("h", 1)): 1}) == h ** 2
+    assert ParamPoly({(("h", 1),): 1, (("h", 0), ("h", 1)): 2}).text() == "3*h"
+    for power in (-1, Fraction(1, 2), 1.5, "2"):
+        with pytest.raises(ValueError, match="'h'"):
+            ParamPoly({(("h", power),): 1})
+        with pytest.raises(ValueError, match="'h'"):
+            ParamPoly.param("h", power)
+    too_big = 2 ** (scalars._FIELD - 1)
+    for make in (lambda: ParamPoly.param("h", too_big),
+                 lambda: ParamPoly({(("h", too_big - 1), ("h", 1)): 1}),
+                 lambda: ParamPoly.from_text(f"1 + h^{too_big}")):
+        with pytest.raises(ValueError, match="'h'"):
+            make()
+
+
+def test_product_past_the_field_raises():
+    field = scalars._FIELD
+    h, lam = ParamPoly.param("h"), ParamPoly.param("lam")
+    p = ParamPoly.param("h", 2 ** (field - 2))
+    with pytest.raises(OverflowError, match="'h'"):
+        for _ in range(field):
+            p = p * p
+    assert p == ParamPoly.param("h", 2 ** (field - 2))
+    # the largest power that fits is reached, and never spills into lam
+    top = ParamPoly.param("h", 2 ** (field - 2) - 1) * ParamPoly.param("h", 2 ** (field - 2))
+    assert top.degree() == 2 ** (field - 1) - 1 and top.parameters() == {"h"}
+    assert (top * lam).parameters() == {"h", "lam"}
+    with pytest.raises(OverflowError, match="'h'"):
+        top * (1 + lam * h)
+    q = ParamPoly.param("lam", 2 ** (field - 2)) * h
+    with pytest.raises(OverflowError, match="'lam'"):
+        q * q
+
+
+# Registers the parameters named on the command line first, then prints
+# what the package shows of a polynomial in h and lam.
+_ORDER_SCRIPT = """
+import json, pickle, sys
+from fractions import Fraction
+from ncbinom import scalars
+from ncbinom.freealg import Algebra, NCPoly
+from ncbinom.scalars import ParamPoly
+for name in sys.argv[1:]:
+    ParamPoly.param(name)
+h, lam = ParamPoly.param("h"), ParamPoly.param("lam")
+p = 3 * h ** 2 * lam - lam ** 3 + h * lam ** 2 + Fraction(1, 2) * h - 1
+alg = Algebra("A", "B")
+x = p * alg.gen("A") * alg.gen("B") - lam * h * alg.gen("B") + h ** 2
+print(json.dumps({
+    "registry": scalars._NAMES,
+    "text": p.text(),
+    "parameters": sorted(p.parameters()),
+    "json": x.to_json(),
+    "round trip": [ParamPoly.from_text(p.text()).text(),
+                   NCPoly.from_json(alg, x.to_json()).to_json()],
+    "substitute": p.substitute({"h": 2}).text(),
+    "pickle": pickle.dumps(p).hex(),
+}))
+"""
+
+
+def test_registry_order_never_shows():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", _ORDER_SCRIPT, *order],
+        capture_output=True, text=True, check=True, env=env).stdout)
+        for order in (("h", "lam"), ("lam", "h"))]
+    assert [run.pop("registry") for run in runs] == [["h", "lam"], ["lam", "h"]]
+    assert runs[0] == runs[1]
+    assert runs[0]["text"] == "-1 + 1/2*h + h*lam^2 + 3*h^2*lam - lam^3"
 
 
 def _plumbing_values():
@@ -285,20 +372,21 @@ _ALG = Algebra("A", "B", "C")
 _words = st.lists(st.sampled_from(_ALG.generators), max_size=3).map(tuple)
 _coeffs = st.one_of(coefficients(), polys())
 # kind -> (keys, coefficients, constructor, key product written here, not
-# the package's): words concatenate, degrees add
+# the package's, stored key -> the key the product reads): monomials add
+# their (name, power) pairs, words concatenate, degrees add
 _PRODUCT_KINDS = {
-    "ParamPoly": (monomials(), coefficients(), ParamPoly, _monomial_product),
-    "NCPoly": (_words, coefficients(), lambda t: NCPoly(_ALG, t), operator.add),
-    "NCPoly over Q[h, lam]": (_words, _coeffs, lambda t: NCPoly(_ALG, t), operator.add),
-    "Poly1": (st.integers(0, 5), _coeffs, Poly1, operator.add),
+    "ParamPoly": (monomials(), coefficients(), ParamPoly, _monomial_product, _unpack),
+    "NCPoly": (_words, coefficients(), lambda t: NCPoly(_ALG, t), operator.add, str),
+    "NCPoly over Q[h, lam]": (_words, _coeffs, lambda t: NCPoly(_ALG, t), operator.add, str),
+    "Poly1": (st.integers(0, 5), _coeffs, Poly1, operator.add, int),
 }
 
 
-def _double_loop(left, right, key_mul):
+def _double_loop(left, right, key_mul, decode):
     terms = {}
     for k1, c1 in left.terms.items():
         for k2, c2 in right.terms.items():
-            key = key_mul(k1, k2)
+            key = key_mul(decode(k1), decode(k2))
             terms[key] = terms.get(key, 0) + c1 * c2
     return {key: coeff for key, coeff in terms.items() if coeff}
 
@@ -307,11 +395,12 @@ def _double_loop(left, right, key_mul):
 @settings(deadline=None)
 def test_one_term_products_match_the_double_loop(data):
     kind = data.draw(st.sampled_from(sorted(_PRODUCT_KINDS)))
-    keys, coeffs, build, key_mul = _PRODUCT_KINDS[kind]
+    keys, coeffs, build, key_mul, decode = _PRODUCT_KINDS[kind]
     p = data.draw(st.dictionaries(keys, coeffs, max_size=5).map(build))
     key, coeff = data.draw(st.tuples(keys, coeffs.filter(bool)))
     single = build({key: coeff})
     for left, right in ((single, p), (p, single)):
         product = left * right
-        assert product.terms == _double_loop(left, right, key_mul), kind
+        decoded = {decode(k): c for k, c in product.terms.items()}
+        assert decoded == _double_loop(left, right, key_mul, decode), kind
         _assert_stored_bare(product)
