@@ -206,19 +206,19 @@ class RelationSystem:
     def power(self, p: NCPoly, n: int, budget: int = DEFAULT_BUDGET) -> NCPoly:
         """The normal form of ``p ** n``, built as nf(p * nf(p^(n-1))).
 
-        Only normal words are ever multiplied, so the free expansion of
-        ``p ** n`` is never formed.  One memo serves all n steps.
+        Each factor word is folded straight into the normal running result,
+        with no suffix scan and no free ``p ** n``.  One memo serves all n steps.
         """
         self._check_input(p)
         if n < 0:
             raise ValueError("negative powers are not defined")
         reducer = _Reducer(self, self._compiled, budget)
-        factor = p.terms.items()
         result: dict = {"": 1}
         for _ in range(n):
-            result = reducer.reduce(
-                (w + u, c * cu) for w, c in factor for u, cu in result.items()
-            )
+            acc: dict = {}
+            for w, c in p.terms.items():
+                reducer._run(reducer._fold(w, {u: c * cu for u, cu in result.items()}, acc))
+            result = acc
         return self.algebra._poly(result)
 
     def quotient_eq(self, p: NCPoly, q: NCPoly, budget: int = DEFAULT_BUDGET) -> bool:
@@ -237,7 +237,8 @@ class _Reducer:
     table of ``RelationSystem.validate``.  Central letters are moved into
     place without rules or memo entries.  ``memo[(g, u)]`` holds nf(g * u) for a non-central letter g
     and a normal word u free of central letters with u[0] < g; every entry
-    is one rule application against the budget.
+    is one rule application against the budget.  ``reduce`` takes free
+    input; ``power`` runs ``_fold`` directly, its words being normal.
     """
 
     def __init__(self, system: RelationSystem, compiled: dict, budget: int):
@@ -249,7 +250,7 @@ class _Reducer:
         self.memo: dict[tuple[str, str], dict] = {}
 
     def reduce(self, terms) -> dict:
-        """nf of the (packed word, coeff) pairs, folding shared prefixes together.
+        """nf of free (packed word, coeff) pairs, folding shared prefixes together.
 
         Each word splits into its longest normal suffix and the prefix
         before it, so an already normal word costs one scan.  Suffixes are
@@ -277,10 +278,7 @@ class _Reducer:
             level = levels.pop()
             parents = levels[-1]
             for prefix, terms in level.items():
-                parent = parents.setdefault(prefix[:-1], {})
-                folded = yield from self._fold(prefix[-1:], terms)
-                for u, c in folded.items():
-                    _add_term(parent, u, c)
+                yield from self._fold(prefix[-1:], terms, parents.setdefault(prefix[:-1], {}))
 
     def _run(self, task):
         """Run a generator that yields the (letter, word) pushes it needs.
@@ -310,11 +308,17 @@ class _Reducer:
             stack.append((need, self._push(*need)))
             value = None  # a new generator starts on None
 
-    def _fold(self, letters: str, terms: dict):
+    def _fold(self, letters: str, terms: dict, acc: dict):
+        """Add nf(letters * w) * c to ``acc`` for each normal w of ``terms``:
+        letters are pushed right to left, the first one's terms into ``acc``."""
         memo = self.memo
         central = self.central
-        for g in reversed(letters):
-            pushed: dict = {}
+        if not letters:
+            for w, c in terms.items():
+                _add_term(acc, w, c)
+        for pos in range(len(letters) - 1, -1, -1):
+            g = letters[pos]
+            pushed = {} if pos else acc
             for w, c in terms.items():
                 if not w or g <= w[0]:
                     _add_term(pushed, g + w, c)
@@ -339,7 +343,6 @@ class _Reducer:
                         r = "".join(sorted(head + r)) if r and r[0] < central else head + r
                     _add_term(pushed, r, c * cr)
             terms = pushed
-        return terms
 
     def _push(self, g: str, u: str):
         """nf(g * u) for a non-central u[0] < g.
@@ -349,9 +352,7 @@ class _Reducer:
         """
         out: dict = {}
         for v, cv in self.compiled[(g, u[0])]:
-            terms = yield from self._fold(v, {u[1:]: cv})
-            for r, c in terms.items():
-                _add_term(out, r, c)
+            yield from self._fold(v, {u[1:]: cv}, out)
         return out
 
 

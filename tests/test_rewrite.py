@@ -363,6 +363,37 @@ def test_power_of_non_normal_polynomial():
         weyl.power(p, -1)
 
 
+# BA -> AB + 1: the rule's constant term is an empty replacement word.
+UNIT_RULE_SYSTEM = {
+    "alphabet": [{"name": "A"}, {"name": "B"}],
+    "rules": [{"pair": ["B", "A"], "replacement": {"terms": [
+        {"coeff": "1", "word": ["A", "B"]}, {"coeff": "1", "word": []},
+    ]}}],
+}
+
+
+def test_power_of_factors_with_constants_centrals_and_long_words():
+    # power folds each factor word into the running result, so a constant
+    # word, a central letter and a word of several letters each take their
+    # own path through the fold.
+    weyl = make_family("weyl")
+    a, b, c = (weyl.gen(name) for name in "ABC")
+    cases = [(weyl, [1 + a + b, a + b + c, 2 * c * b - a * b + b * a + 3])]
+    hsq = make_family("hsq")
+    a, b = hsq.gen("A"), hsq.gen("B")
+    cases.append((hsq, [1 + a + b, a + 2 * b + a * b]))
+    unit = load_system(UNIT_RULE_SYSTEM)
+    assert unit.validate().ok
+    a, b = unit.gen("A"), unit.gen("B")
+    cases.append((unit, [a + b, 1 + a + b]))
+    for system, factors in cases:
+        for p in factors:
+            for n in range(6):
+                power = system.power(p, n)
+                assert power == system.normal_form(p ** n)
+                assert power == _worklist_normal_form(system, p ** n, leftmost=False)
+
+
 def test_closed_forms_match_power_at_24():
     hsq = make_family("hsq")
     a, b = hsq.gen("A"), hsq.gen("B")
@@ -403,10 +434,14 @@ def test_long_word_does_not_deepen_the_stack():
     word = b * a ** 300
     assert weyl.normal_form(word) == _worklist_normal_form(weyl, word, leftmost=True)
 
+    # power folds the word into the unit result on the same explicit stack
+    assert weyl.power(b * a ** 1000, 1) == a ** 1000 * b + 1000 * c * a ** 999
+
     hsq = make_family("hsq")
     a, b = hsq.gen("A"), hsq.gen("B")
     word = b * a ** 1000
     assert hsq.normal_form(word) == _worklist_normal_form(hsq, word, leftmost=True)
+    assert hsq.power(word, 1) == hsq.normal_form(word)
 
 
 def test_budget_message_names_the_budget():
@@ -461,6 +496,34 @@ def test_rule_application_counts():
                 reduce(p, budget=count)
                 with pytest.raises(BudgetExceededError):
                     reduce(p, budget=count - 1)
+
+
+def _smallest_budget(call):
+    """The smallest budget under which ``call(budget)`` succeeds."""
+    budget = 0
+    while True:
+        try:
+            call(budget)
+            return budget
+        except BudgetExceededError:
+            budget += 1
+
+
+def test_power_rule_application_counts():
+    # power counts as normal_form of the free power does (MEMO_COUNTS);
+    # the facts of a refused budget pin the order of its pushes.
+    for system in (make_family("hsq"), make_family("weyl"), load_system(USER_SYSTEM)):
+        s = system.gen("A") + system.gen("B")
+        counts = [_smallest_budget(functools.partial(system.power, s, n)) for n in range(4, 9)]
+        assert counts == [6, 10, 15, 21, 28]
+    hsq = make_family("hsq")
+    a, b = hsq.gen("A"), hsq.gen("B")
+    assert _smallest_budget(functools.partial(hsq.power, a + 2 * b + a * b, 6)) == 44
+    for budget, steps, word in ((0, 1, "B*A"), (1, 2, "B*A^2"), (3, 4, "B*A^3"),
+                                (10, 11, "B*A^5")):
+        with pytest.raises(BudgetExceededError) as info:
+            hsq.power(a + b, 6, budget=budget)
+        assert (info.value.budget, info.value.steps, info.value.word) == (budget, steps, word)
 
 
 def test_malformed_system_names_the_missing_key():
