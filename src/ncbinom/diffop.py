@@ -62,9 +62,7 @@ class Poly1(_Sparse):
 
     @classmethod
     def from_json(cls, doc: dict) -> Poly1:
-        return cls(
-            {int(d): ParamPoly.from_text(t) for d, t in doc["coeffs"].items()}
-        )
+        return cls({d: ParamPoly.from_text(t) for d, t in doc["coeffs"].items()})
 
 
 class DiffOp(_Sparse):
@@ -106,16 +104,16 @@ class DiffOp(_Sparse):
         return cls({(0, 0): 1})
 
     @classmethod
-    def term(cls, xpow: int, dpow: int, coeff=1) -> DiffOp:
-        return cls({(xpow, dpow): coeff})
+    def term(cls, xpow: int, dpow: int) -> DiffOp:
+        return cls({(xpow, dpow): 1})
 
     @classmethod
-    def x(cls, power: int = 1) -> DiffOp:
-        return cls.term(power, 0)
+    def x(cls) -> DiffOp:
+        return cls.term(1, 0)
 
     @classmethod
-    def d(cls, power: int = 1) -> DiffOp:
-        return cls.term(0, power)
+    def d(cls) -> DiffOp:
+        return cls.term(0, 1)
 
     def compose(self, other: DiffOp) -> DiffOp:
         """self after other, normal-ordered; acts like operator product."""

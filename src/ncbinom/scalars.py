@@ -11,8 +11,8 @@ structural equality stays exact either way.
 Every value type of the package (``ParamPoly`` here, ``NCPoly`` in
 :mod:`ncbinom.freealg`, ``Poly1`` and ``DiffOp`` in :mod:`ncbinom.diffop`) is
 a finite linear combination of keys and shares the ring plumbing of
-``_Sparse``; each type supplies only its key product, key text and term
-order.
+``_Sparse``, its one constructor from outside included; each type supplies
+only its key conversion, key product, key text and term order.
 
 A ``ParamPoly`` monomial is one ``int`` with a bit field per parameter, in
 the order parameters are first used, so the monomial product is ``int``
@@ -146,19 +146,21 @@ class _Sparse:
     ``int``, ``Fraction`` and ``ParamPoly`` lift onto the unit key.  A subclass
     supplies its unit key ``_UNIT``, its key product ``_key_mul`` (or
     overrides ``_mul`` when one key pair yields several keys), its key text
-    ``_key_text`` and its term order, as ``_order`` (a sort key on keys) or
-    its own ``canonical_terms``.
+    ``_key_text``, its term order, as ``_order`` (a sort key on keys) or
+    its own ``canonical_terms``, and ``_key``, which puts a key from outside
+    in stored form.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        """Build from a key -> scalar map, converting values, dropping zeros."""
+        """Build from a key -> scalar map, the one way in from outside: keys
+        go through ``_key``, keys that store alike are summed, zeros drop."""
         self.terms = {}
         for key, value in (terms or {}).items():
             coeff = self._coeff(value)
             if coeff:
-                self.terms[self._key(key)] = coeff
+                _add_term(self.terms, self._key(key), coeff)
 
     @staticmethod
     def _coeff(value):
@@ -166,11 +168,6 @@ class _Sparse:
         if isinstance(value, ParamPoly):
             return _demote(value)
         return ParamPoly._coeff(value)
-
-    @staticmethod
-    def _key(key):
-        """A key from outside in stored form."""
-        return key
 
     def _new(self, terms: dict):
         """An instance of this type and context over already pruned terms."""
@@ -361,7 +358,8 @@ def _pack(mono) -> int:
     for name, power in powers.items():
         if power >> (_FIELD - 1):
             raise ValueError(f"power {power} of parameter {name!r} is not below 2^{_FIELD - 1}")
-        key += power << _shift(name)
+        if power:
+            key += power << _shift(name)
     return key
 
 
@@ -390,22 +388,17 @@ class ParamPoly(_Sparse):
     Terms map a packed monomial (see ``_pack``) to a nonzero rational, an
     ``int`` or a ``Fraction`` (a scalar from outside enters as an ``int``
     when integral).  The constructor takes monomials as (name, power)
-    pairs.  Rendered by total degree, then the sorted (name, power) tuple.
+    pairs in any order; ``_pack`` merges repeated names, and monomials that
+    pack alike are summed.  Rendered by total degree, then the sorted
+    (name, power) tuple.
     """
 
     __slots__ = ()
 
     _UNIT = 0
+    _key = staticmethod(_pack)
     _key_mul = staticmethod(operator.add)
     _key_text = staticmethod(_monomial_text)
-
-    def __init__(self, terms: dict | None = None):
-        """Build from a monomial -> scalar map, merging equal monomials."""
-        self.terms = {}
-        for mono, value in (terms or {}).items():
-            coeff = self._coeff(value)
-            if coeff:
-                _add_term(self.terms, _pack(mono), coeff)
 
     def __reduce__(self):
         # pickle decoded monomials: another process may order the fields otherwise
@@ -434,14 +427,11 @@ class ParamPoly(_Sparse):
             return NotImplemented
         terms = dict(self.terms)
         for key, coeff in items:
-            if key in terms:
-                total = terms[key] + coeff
-                if total:
-                    terms[key] = total
-                else:
-                    del terms[key]
+            total = terms.get(key, 0) + coeff
+            if total:
+                terms[key] = total
             else:
-                terms[key] = coeff
+                del terms[key]
         return self._new(terms)
 
     def __mul__(self, other):
@@ -526,8 +516,6 @@ class ParamPoly(_Sparse):
         text = text.strip()
         if not text:
             raise ValueError("empty polynomial text")
-        if text == "0":
-            return cls.zero()
         pieces = _TERM_SPLIT.split(text)
         terms: dict[tuple, Fraction] = {}
         sign = Fraction(1)
@@ -546,7 +534,7 @@ class ParamPoly(_Sparse):
         if piece.startswith("-"):
             coeff = Fraction(-1)
             piece = piece[1:]
-        powers: dict[str, int] = {}
+        mono = []
         for factor in piece.split("*"):
             factor = factor.strip()
             if _NUMBER.match(factor):
@@ -560,7 +548,5 @@ class ParamPoly(_Sparse):
             m = _FACTOR.match(factor)
             if m is None:
                 raise ValueError(f"cannot parse polynomial factor {factor!r}")
-            name, power = m.group(1), int(m.group(2) or 1)
-            powers[name] = powers.get(name, 0) + power
-        mono = tuple(sorted((n, p) for n, p in powers.items() if p > 0))
-        return mono, coeff
+            mono.append((m.group(1), int(m.group(2) or 1)))
+        return tuple(mono), coeff

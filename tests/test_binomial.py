@@ -19,13 +19,14 @@ from ncbinom.binomial import (
     gamma_factors,
     m_basis,
     m_derivation_expand,
+    resolve_relation,
     twisted_expand,
     weyl_coefficient,
     weyl_m_text,
     weyl_triple,
 )
 from ncbinom.freealg import NCPoly, commutator, twisted_powers
-from ncbinom.rewrite import make_family
+from ncbinom.rewrite import RelationSystem, make_family
 from ncbinom.scalars import ParamPoly, binom, factorial
 from ncbinom.verify import (
     _essential_recurrence,
@@ -245,6 +246,18 @@ def test_expansion_report_incompatibilities():
         expansion_report(2, "telescope")
     with pytest.raises(ValueError):
         expansion_report(-1, "brute")
+
+
+def test_resolve_relation_takes_a_system():
+    weyl = make_family("weyl")
+    assert resolve_relation(weyl) == (weyl, "weyl")
+    unnamed = RelationSystem(ALG, {("B", "A"): A * B})
+    assert resolve_relation(unnamed) == (unnamed, "user")
+    report = expansion_report(3, "theorem1", unnamed)
+    assert (report.relation, report.oracle_match) == ("user", True)
+    for relation in (5, ALG, ("B", "A")):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            resolve_relation(relation)
 
 
 ENGINES = {method: engine for method, (engine, _) in _METHODS.items()}

@@ -6,6 +6,8 @@ from ncbinom import cli
 from ncbinom.binomial import free_pair, twisted_expand, weyl_triple
 from ncbinom.cli import build_parser, main
 from ncbinom.freealg import Algebra, NCPoly
+from ncbinom.rewrite import BudgetExceededError
+from ncbinom.verify import CheckResult
 
 
 def run(capsys, *argv):
@@ -95,6 +97,7 @@ def test_expand_negative_n(capsys):
     (("hermite", "--n", "-1"), "n must be non-negative"),
     (("gamma", "--n", "-2"), "n must be non-negative"),
     (("exp-check", "--order", "-1"), "order must be non-negative"),
+    (("verify", "--max-n", "-1"), "max_n must be non-negative"),
 ])
 def test_negative_sizes_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -112,6 +115,17 @@ def test_engine_fault_is_not_a_usage_error(monkeypatch, error):
     monkeypatch.setattr(cli, "expansion_report", broken)
     with pytest.raises(type(error)):
         main(["expand", "--n", "2", "--method", "brute"])
+
+
+def test_budget_exhaustion_exits_1(capsys, monkeypatch):
+    # A budget that runs out is not a usage error: README promises exit 1.
+    def exhausted(*args):
+        raise BudgetExceededError(10, 10, "B*A")
+
+    monkeypatch.setattr(cli, "expansion_report", exhausted)
+    code, out, err = run(capsys, "expand", "--n", "2", "--method", "brute")
+    assert (code, out) == (1, "")
+    assert err == "error: budget of 10 rule applications too small for this input\n"
 
 
 def test_expand_bad_method_is_usage_error(capsys):
@@ -150,6 +164,24 @@ def test_verify_small_suite(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS ") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_verify_failure_prints_the_counterexample(capsys, monkeypatch):
+    results = [
+        CheckResult("weyl/ok", True, "n<=2"),
+        CheckResult("weyl/bad", False, "n=3 differs", {"n": 3, "got": "A"}),
+        CheckResult("weyl/later", False, "n=4 differs", {"n": 4}),
+    ]
+    monkeypatch.setattr(cli, "run_suite", lambda suite, max_n, seed: results)
+    code, out, err = run(capsys, "verify", "--suite", "weyl")
+    assert (code, err) == (1, "")
+    assert out == (
+        "PASS weyl/ok: n<=2\n"
+        "FAIL weyl/bad: n=3 differs\n"
+        "FAIL weyl/later: n=4 differs\n"
+        "1/3 checks passed\n"
+        '{"n":3,"got":"A"}\n'
+    )
 
 
 def test_verify_deterministic(capsys):
@@ -253,6 +285,19 @@ def test_user_relation_file(capsys, tmp_path):
     )
     assert code == 0
     assert out.endswith("| oracle_match: true\n")
+
+
+def test_relation_file_without_a_and_b(capsys, tmp_path):
+    doc = {"alphabet": [{"name": "X"}, {"name": "Y"}],
+           "rules": [{"pair": ["Y", "X"], "replacement": {
+               "terms": [{"coeff": "1", "word": ["X", "Y"]}]}}]}
+    path = tmp_path / "xy.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "expand", "--n", "2", "--method", "brute", "--relation", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: the relation system must declare generators A and B\n"
 
 
 def test_missing_relation_file(capsys):

@@ -100,6 +100,25 @@ def test_central_rule_rejected():
     assert any("central" in v for v in report.violations)
 
 
+def test_malformed_rule_pairs_reported():
+    alg = Algebra("A", "B")
+    a, b = alg.gen("A"), alg.gen("B")
+    wider = Algebra("A", "B", "C")
+    cases = [
+        ({("X", "A"): a * b}, "rule XA: unknown generator in pair"),
+        ({("A", "B"): a * b}, "rule AB: pair is not out of order"),
+    ]
+    for extra, message in cases:
+        system = RelationSystem(alg, {("B", "A"): a * b, **extra})
+        assert system.validate().violations == [message]
+        with pytest.raises(InvalidSystemError):
+            system.normal_form(b * a)
+    foreign = wider.gen("A") * wider.gen("B")
+    assert RelationSystem(alg, {("B", "A"): foreign}).validate().violations == [
+        "rule BA: replacement from a different context"
+    ]
+
+
 def test_non_normal_replacement_reported():
     alg = Algebra("A", "B")
     a, b = alg.gen("A"), alg.gen("B")

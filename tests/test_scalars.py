@@ -134,8 +134,27 @@ def test_from_text_forms():
     assert ParamPoly.from_text("-1 + h") == h - 1
     assert ParamPoly.from_text("1/2*h*lam") == Fraction(1, 2) * h * lam
     assert ParamPoly.from_text("0") == ParamPoly.zero()
-    with pytest.raises(ValueError):
-        ParamPoly.from_text("h + + h")
+    # a term's factors go to the constructor as parsed, which merges them
+    for text, value in [
+        ("h*lam + lam*h", "2*h*lam"),
+        ("h*h + h^0", "1 + h^2"),
+        ("2*h - h*2", "0"),
+        ("h^0*lam^0", "1"),
+        ("h*2*3*lam^2*h", "6*h^2*lam^2"),
+        ("-h*h^0*lam - lam*h", "-2*h*lam"),
+    ]:
+        assert ParamPoly.from_text(text).text() == value
+    for text, message in [
+        ("h + + h", "cannot parse polynomial factor '+ h'"),
+        ("", "empty polynomial text"),
+        ("h^x", "cannot parse polynomial factor 'h^x'"),
+        ("1/0*h", "zero denominator in polynomial factor '1/0'"),
+        ("3*", "cannot parse polynomial factor ''"),
+        ("h^2147483647*h", "power 2147483648 of parameter 'h' is not below 2^31"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            ParamPoly.from_text(text)
+        assert str(info.value) == message
 
 
 def test_integral_coefficients_are_ints():
@@ -254,6 +273,9 @@ def test_constructor_packs_monomials_canonically():
     h, lam = ParamPoly.param("h"), ParamPoly.param("lam")
     unit = ParamPoly({(("h", 0),): 1})
     assert unit == 1 and unit.text() == "1"
+    # a zero power takes no field, whether built or parsed
+    assert ParamPoly({(("never_used", 0),): 1}) == ParamPoly.from_text("never_parsed^0") == 1
+    assert {"never_used", "never_parsed"}.isdisjoint(scalars._NAMES)
     swapped = ParamPoly({(("lam", 1), ("h", 1)): 1})
     assert swapped == h * lam
     assert (swapped + h * lam).text() == "2*h*lam"
@@ -270,6 +292,20 @@ def test_constructor_packs_monomials_canonically():
                  lambda: ParamPoly.from_text(f"1 + h^{too_big}")):
         with pytest.raises(ValueError, match="'h'"):
             make()
+
+
+def test_constructors_sum_keys_that_store_alike():
+    # Every value type is built from outside by one constructor, which puts
+    # each key in stored form and sums the keys that land on one.
+    assert "__init__" not in vars(ParamPoly) and "_key" not in vars(scalars._Sparse)
+    assert Poly1({1: 1, "1": -1}).is_zero()
+    assert DiffOp({(1, 2): 1, ("1", "2"): 2}) == DiffOp({(1, 2): 3})
+    assert DiffOp({(1, 2): 1, ("1", "2"): 2}).text() == "3*x*D^2"
+    doc = {"coeffs": {"3": "1", "03": "2"}}
+    assert Poly1.from_json(doc) == Poly1({3: 3}) and Poly1.from_json(doc).text() == "3*x^3"
+    h = ParamPoly.param("h")
+    assert Poly1({2: h, "2": 1 - h}).terms == {2: 1}
+    assert type(Poly1({2: h, "2": 1 - h}).terms[2]) is int
 
 
 def test_product_past_the_field_raises():
