@@ -163,6 +163,7 @@ def closed_form_hsq(n: int, algebra: Algebra | None = None) -> NCPoly:
 
 def weyl_coefficient(n: int, k: int, algebra: Algebra | None = None) -> NCPoly:
     """Central coefficient n!/((n-2k)! k! 2^k) * C^k of the Weyl closed form."""
+    _check_n(n)
     if algebra is None:
         algebra = weyl_triple()
     if k < 0 or 2 * k > n:
@@ -225,6 +226,8 @@ def exp_defect(which: str, order: int, algebra: Algebra | None = None) -> NCPoly
     """
     if order < 0:
         raise ValueError("order must be non-negative")
+    if which not in ("factored", "split"):
+        raise ValueError(f"unknown identity {which!r}")
     algebra, a, b = _ab(algebra)
     lhs = _exp_series(a + b, order)
     e_b = _exp_series(b, order)
@@ -233,13 +236,11 @@ def exp_defect(which: str, order: int, algebra: Algebra | None = None) -> NCPoly
         for k, t_k in enumerate(twisted_powers(a, b, order)):
             twisted = twisted + t_k * (1 / factorial(k))
         rhs = twisted * e_b
-    elif which == "split":
+    else:
         rhs = _exp_series(a, order) * e_b
         for k, d_k in enumerate(_essential_parts(a, b, order)):
             if not d_k.is_zero():
                 rhs = rhs + d_k * (1 / factorial(k)) * e_b
-    else:
-        raise ValueError(f"unknown identity {which!r}")
     return (lhs - rhs).truncate(order)
 
 

@@ -21,6 +21,15 @@ from .freealg import NCPoly
 from .scalars import ParamPoly, _add_term, _box, _scalar_text, _Sparse, pairings
 
 
+def _degree(value) -> int:
+    """A degree from outside, an ``int`` or a string of decimal digits."""
+    if type(value) is int and value >= 0:
+        return value
+    if type(value) is str and value.isascii() and value.isdigit():
+        return int(value)
+    raise ValueError(f"degree {value!r} is not a non-negative integer")
+
+
 class Poly1(_Sparse):
     """Sparse polynomial in x: map degree -> coefficient, no zero entries.
 
@@ -30,7 +39,7 @@ class Poly1(_Sparse):
     __slots__ = ()
 
     _UNIT = 0
-    _key = staticmethod(int)
+    _key = staticmethod(_degree)
     _key_mul = staticmethod(operator.add)
     _order = staticmethod(operator.neg)
 
@@ -79,7 +88,7 @@ class DiffOp(_Sparse):
 
     @staticmethod
     def _key(key) -> tuple[int, int]:
-        return (int(key[0]), int(key[1]))
+        return (_degree(key[0]), _degree(key[1]))
 
     @staticmethod
     def _order(key: tuple[int, int]):

@@ -138,14 +138,6 @@ class Algebra:
     def one(self) -> NCPoly:
         return self._poly({"": 1})
 
-    def from_terms(self, terms) -> NCPoly:
-        """Build a polynomial from (word, coefficient) pairs, merging duplicates."""
-        acc: dict = {}
-        for word, coeff in terms:
-            key = self.pack(word)
-            acc[key] = acc.get(key, 0) + coeff
-        return self._poly({key: c for key, value in acc.items() if (c := NCPoly._coeff(value))})
-
 
 class NCPoly(_Sparse):
     """Finite sum of words weighted by scalars of the parameter ring; immutable.
@@ -165,8 +157,8 @@ class NCPoly(_Sparse):
     _UNIT = ""
     _key_mul = staticmethod(operator.add)
 
-    def __init__(self, algebra: Algebra, terms: dict):
-        """Build from a word -> scalar map; the words are packed."""
+    def __init__(self, algebra: Algebra, terms):
+        """Build from a word -> scalar map or (word, scalar) pairs; words are packed."""
         self.algebra = algebra
         super().__init__(terms)
 
@@ -233,14 +225,13 @@ class NCPoly(_Sparse):
 
     @classmethod
     def from_json(cls, algebra: Algebra, doc: dict) -> NCPoly:
-        terms = []
+        pairs = []
         for entry in doc["terms"]:
             names = entry["word"]
             if not isinstance(names, list):
                 raise TypeError(f"a word must be a list of names, got {names!r}")
-            word = algebra.word(*names)
-            terms.append((word, ParamPoly.from_text(entry["coeff"])))
-        return algebra.from_terms(terms)
+            pairs.append((algebra.word(*names), ParamPoly.from_text(entry["coeff"])))
+        return cls(algebra, pairs)
 
 
 def commutator(x: NCPoly, p: NCPoly) -> NCPoly:

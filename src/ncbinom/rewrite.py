@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .freealg import Algebra, ContextMismatchError, Generator, NCPoly
 from .scalars import ParamPoly, _add_term
@@ -176,9 +176,8 @@ class RelationSystem:
         reducer = _Reducer(self, compiled, DEFAULT_BUDGET)
         violations = []
         for x, y, z in combinations(map(chr, range(self.n_central, len(self.alphabet))), 3):
-            defect = reducer.reduce((z + w, c) for w, c in compiled[(y, x)])
-            for w, c in reducer.reduce((w + x, -c) for w, c in compiled[(z, y)]).items():
-                _add_term(defect, w, c)
+            defect = reducer.reduce(chain(((z + w, c) for w, c in compiled[(y, x)]),
+                                          ((w + x, -c) for w, c in compiled[(z, y)])))
             if defect:
                 text = self.algebra._poly(defect).text()
                 name = "".join(self.alphabet[ord(i)].name for i in z + y + x)

@@ -11,8 +11,9 @@ structural equality stays exact either way.
 Every value type of the package (``ParamPoly`` here, ``NCPoly`` in
 :mod:`ncbinom.freealg`, ``Poly1`` and ``DiffOp`` in :mod:`ncbinom.diffop`) is
 a finite linear combination of keys and shares the ring plumbing of
-``_Sparse``, its one constructor from outside included; each type supplies
-only its key conversion, key product, key text and term order.
+``_Sparse``, its one constructor from outside (a map or pairs) included;
+each type supplies only its key conversion, key product, key text and term
+order.  Only ``int`` and ``Fraction`` enter as rationals: no float, no string.
 
 A ``ParamPoly`` monomial is one ``int`` with a bit field per parameter, in
 the order parameters are first used, so the monomial product is ``int``
@@ -153,18 +154,19 @@ class _Sparse:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict | None = None):
-        """Build from a key -> scalar map, the one way in from outside: keys
-        go through ``_key``, keys that store alike are summed, zeros drop."""
+    def __init__(self, terms=()):
+        """Build from a key -> scalar map or (key, scalar) pairs, the one way in:
+        keys go through ``_key``, keys that store alike are summed, zeros drop."""
         self.terms = {}
-        for key, value in (terms or {}).items():
+        for key, value in (terms.items() if hasattr(terms, "items") else terms):
             coeff = self._coeff(value)
             if coeff:
                 _add_term(self.terms, self._key(key), coeff)
 
     @staticmethod
     def _coeff(value):
-        """A scalar from outside as a coefficient, bare when constant."""
+        """A scalar from outside (``int``, ``Fraction`` or ``ParamPoly``) as
+        a coefficient, bare when constant."""
         if isinstance(value, ParamPoly):
             return _demote(value)
         return ParamPoly._coeff(value)
@@ -387,9 +389,10 @@ class ParamPoly(_Sparse):
 
     Terms map a packed monomial (see ``_pack``) to a nonzero rational, an
     ``int`` or a ``Fraction`` (a scalar from outside enters as an ``int``
-    when integral).  The constructor takes monomials as (name, power)
-    pairs in any order; ``_pack`` merges repeated names, and monomials that
-    pack alike are summed.  Rendered by total degree, then the sorted
+    when integral; no other scalar type enters).  The constructor takes
+    monomials as (name, power) pairs in any order, in a map or in
+    (monomial, scalar) pairs; ``_pack`` merges repeated names, and monomials
+    that pack alike are summed.  Rendered by total degree, then the sorted
     (name, power) tuple.
     """
 
@@ -406,11 +409,14 @@ class ParamPoly(_Sparse):
 
     @staticmethod
     def _coeff(value):
-        """A scalar from outside as a stored rational."""
+        """An ``int`` or ``Fraction`` from outside as a stored rational."""
         if type(value) is int:
             return value
-        value = Fraction(value)
-        return value.numerator if value.denominator == 1 else value
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
+        if not isinstance(value, int):
+            raise TypeError(f"a scalar must be an int or a Fraction, not {type(value).__name__}")
+        return int(value)
 
     @staticmethod
     def _order(key: int):
@@ -482,33 +488,25 @@ class ParamPoly(_Sparse):
         return max((self._order(key)[0] for key in self.terms), default=0)
 
     def evaluate(self, bindings: dict) -> Fraction:
-        """Substitute every parameter and return the exact value.
-
-        Every parameter occurring in the polynomial must be bound.
-        """
-        result = Fraction(0)
-        for key, coeff in self.terms.items():
-            value = coeff
-            for name, power in _unpack(key):
-                if name not in bindings:
-                    raise UnboundParameterError(name)
-                value *= Fraction(bindings[name]) ** power
-            result += value
-        return result
+        """The exact value with every parameter bound; else names the smallest unbound."""
+        unbound = self.parameters().difference(bindings)
+        if unbound:
+            raise UnboundParameterError(min(unbound))
+        return self.substitute(bindings).constant_value()
 
     def substitute(self, bindings: dict) -> ParamPoly:
         """Bind a subset of the parameters, keeping the rest symbolic."""
-        terms: dict = {}
+        values = {name: self._coeff(value) for name, value in bindings.items()}
+        pairs = []
         for key, coeff in self.terms.items():
-            kept = 0
+            kept = []
             for name, power in _unpack(key):
-                if name in bindings:
-                    coeff = coeff * self._coeff(Fraction(bindings[name]) ** power)
+                if name in values:
+                    coeff = coeff * values[name] ** power
                 else:
-                    kept += power << _shift(name)
-            if coeff:
-                _add_term(terms, kept, coeff)
-        return self._new(terms)
+                    kept.append((name, power))
+            pairs.append((kept, coeff))
+        return ParamPoly(pairs)
 
     @classmethod
     def from_text(cls, text: str) -> ParamPoly:
@@ -516,16 +514,15 @@ class ParamPoly(_Sparse):
         text = text.strip()
         if not text:
             raise ValueError("empty polynomial text")
-        pieces = _TERM_SPLIT.split(text)
-        terms: dict[tuple, Fraction] = {}
-        sign = Fraction(1)
-        for i, piece in enumerate(pieces):
+        pairs = []
+        sign = 1
+        for i, piece in enumerate(_TERM_SPLIT.split(text)):
             if i % 2 == 1:
-                sign = Fraction(-1) if piece == "-" else Fraction(1)
+                sign = -1 if piece == "-" else 1
                 continue
             mono, coeff = cls._parse_term(piece)
-            terms[mono] = terms.get(mono, Fraction(0)) + sign * coeff
-        return cls(terms)
+            pairs.append((mono, sign * coeff))
+        return cls(pairs)
 
     @staticmethod
     def _parse_term(piece: str) -> tuple[tuple, Fraction]:

@@ -146,8 +146,8 @@ def random_ncpoly(rng: random.Random, algebra: Algebra,
     terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         key = "".join([rng.choice(letters) for _ in range(rng.randint(0, max_degree))])
-        terms[key] = terms.get(key, 0) + rng.choice(_RANDOM_COEFFS)
-    return algebra._poly({key: coeff for key, coeff in terms.items() if coeff})
+        _add_term(terms, key, rng.choice(_RANDOM_COEFFS))
+    return algebra._poly(terms)
 
 
 def m_product_defect(n: int, algebra: Algebra | None = None) -> NCPoly:

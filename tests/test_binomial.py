@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncbinom import freealg
+from ncbinom import binomial, freealg
 from ncbinom.binomial import (
     _METHODS,
     ExpansionReport,
@@ -165,6 +165,8 @@ def test_weyl_coefficient_range_errors():
         weyl_coefficient(3, 2)
     with pytest.raises(ValueError):
         weyl_coefficient(3, -1)
+    with pytest.raises(ValueError, match="^n must be non-negative$"):
+        weyl_coefficient(-1, 0)
 
 
 def test_closed_form_weyl_values():
@@ -199,12 +201,18 @@ def test_weyl_m_text():
     assert weyl_m_text(4) == "M_4 + 6*C*M_2 + 3*C^2"
 
 
-def test_exp_defects_zero():
+def test_exp_defects_zero(monkeypatch):
     for which in ("factored", "split"):
         assert exp_defect(which, 0).is_zero()
         assert exp_defect(which, 3).is_zero()
         assert exp_defect(which, 5).is_zero()
-    with pytest.raises(ValueError):
+
+    # an unknown identity is refused before any series is built
+    def no_series(p, order):
+        raise AssertionError("an exponential series was built")
+
+    monkeypatch.setattr(binomial, "_exp_series", no_series)
+    with pytest.raises(ValueError, match="unknown identity 'fused'"):
         exp_defect("fused", 3)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,22 @@ def test_poly1_json_round_trip():
     q = Poly1({2: LAM ** 2, 0: Fraction(1, 2)})
     assert Poly1.from_json(q.to_json()) == q
 
+
+
+def test_degrees_from_outside_are_checked():
+    # An int or a string of decimal digits is a degree; anything else is
+    # refused by name rather than read as x^-1 or truncated to x.
+    assert Poly1({"03": 1}) == Poly1({3: 1}) == Poly1.from_json({"coeffs": {"3": "1"}})
+    assert DiffOp({("2", 1): 1}) == DiffOp.term(2, 1)
+    for degree in (-1, "-1", 1.5, 1.9, 1.0, "1.5", " 1", "x", "\u0663", Fraction(1, 2), None):
+        for build in (lambda: Poly1({degree: 1}), lambda: DiffOp({(degree, 0): 1}),
+                      lambda: DiffOp({(0, degree): 1})):
+            with pytest.raises(ValueError, match=re.escape(f"degree {degree!r} is not")):
+                build()
+    with pytest.raises(ValueError, match="degree '-1'"):
+        Poly1.from_json({"coeffs": {"-1": "1"}})
+    with pytest.raises(ValueError, match="degree -2"):
+        Poly1.x_power(-2)
 
 def test_apply_examples():
     assert D.apply(Poly1.x_power(2)) == Poly1({1: 2})

@@ -267,6 +267,22 @@ USER_SYSTEM = {
 }
 
 
+
+def test_repeated_replacement_words_sum():
+    doc = json.loads(json.dumps(USER_SYSTEM))
+    doc["rules"][0]["replacement"]["terms"] = [
+        {"coeff": "1", "word": ["A", "B"]},
+        {"coeff": "1", "word": ["C"]},
+        {"coeff": "3", "word": ["B"]},
+        {"coeff": "1", "word": ["C"]},
+        {"coeff": "-3", "word": ["B"]},
+    ]
+    system, user = load_system(doc), load_system(USER_SYSTEM)
+    assert system.validate().ok
+    b_a = system.algebra.gen("B") * system.algebra.gen("A")
+    assert system.normal_form(b_a) == user.normal_form(b_a)
+    assert system.normal_form(b_a).text() == "2*C + A*B"
+
 def _systems():
     return [make_family(f) for f in ("commutative", "hsq", "weyl")] + [
         load_system(USER_SYSTEM)

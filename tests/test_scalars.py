@@ -110,6 +110,15 @@ def test_unbound_parameter_is_named():
     with pytest.raises(UnboundParameterError) as err:
         p.evaluate({"h": 1})
     assert err.value.name == "lam"
+    # the smallest unbound name, whatever the term order
+    zeta, h, alpha = (ParamPoly.param(name) for name in ("zeta", "h", "alpha"))
+    p = zeta * h + alpha + h
+    for bindings, name in (({}, "alpha"), ({"alpha": 1}, "h"), ({"alpha": 1, "h": 2}, "zeta")):
+        with pytest.raises(UnboundParameterError, match=f"parameter '{name}' is not bound") as err:
+            p.evaluate(bindings)
+        assert err.value.name == name
+    value = p.evaluate({"alpha": 1, "h": 2, "zeta": Fraction(1, 2)})
+    assert value == 4 and type(value) is Fraction
 
 
 def test_substitute_partial():
@@ -289,7 +298,8 @@ def test_constructor_packs_monomials_canonically():
     too_big = 2 ** (scalars._FIELD - 1)
     for make in (lambda: ParamPoly.param("h", too_big),
                  lambda: ParamPoly({(("h", too_big - 1), ("h", 1)): 1}),
-                 lambda: ParamPoly.from_text(f"1 + h^{too_big}")):
+                 lambda: ParamPoly.from_text(f"1 + h^{too_big}"),
+                 lambda: ParamPoly.from_text(f"h^{too_big} - h^{too_big}")):
         with pytest.raises(ValueError, match="'h'"):
             make()
 
@@ -306,6 +316,54 @@ def test_constructors_sum_keys_that_store_alike():
     h = ParamPoly.param("h")
     assert Poly1({2: h, "2": 1 - h}).terms == {2: 1}
     assert type(Poly1({2: h, "2": 1 - h}).terms[2]) is int
+
+
+
+def test_pairs_sum_like_a_map():
+    # The constructor also takes (key, scalar) pairs: a repeated key sums,
+    # and pairs that cancel give zero, for every value type.
+    h = ParamPoly.param("h")
+    alg = Algebra("A", "B")
+    cases = [
+        (ParamPoly, (("h", 1), ("lam", 1)), (("lam", 1), ("h", 1)), ()),
+        (lambda terms: NCPoly(alg, terms), alg.word("A", "B"), list(alg.word("A", "B")), ()),
+        (Poly1, 3, "03", 0),
+        (DiffOp, (1, 2), ("1", "2"), (0, 0)),
+    ]
+    for make, key, alias, other in cases:
+        summed = make([(key, 2), (other, 1), (alias, Fraction(1, 2))])
+        assert summed == make({key: Fraction(5, 2), other: 1})
+        assert make((pair for pair in [(key, 1), (alias, 1)])) == make({key: 2})
+        assert make([(key, 3), (alias, -3)]).is_zero()
+        assert make([(key, 1), (other, 1), (alias, -1)]) == make({other: 1})
+        if make is not ParamPoly:
+            assert make([(key, h), (alias, 1 - h)]) == make({key: 1})
+            assert make([(key, h), (alias, -h)]).is_zero()
+
+
+def test_inexact_scalars_are_refused():
+    # Only int and Fraction enter as rationals; a float is not read as the
+    # binary fraction it holds, nor a string as the number it spells.
+    h = ParamPoly.param("h")
+    alg = Algebra("A")
+    builders = [
+        ParamPoly.const,
+        lambda value: ParamPoly({(("h", 1),): value}),
+        lambda value: h.evaluate({"h": value}),
+        lambda value: h.substitute({"h": value}),
+        lambda value: (h * alg.gen("A")).substitute({"h": value}),
+        lambda value: NCPoly(alg, {(): value}),
+        lambda value: Poly1({0: value}),
+        lambda value: DiffOp({(0, 0): value}),
+    ]
+    for value in (0.1, 1.0, "3", None):
+        for build in builders:
+            with pytest.raises(TypeError, match=type(value).__name__):
+                build(value)
+    with pytest.raises(TypeError, match="ParamPoly"):
+        ParamPoly.const(h)
+    assert NCPoly(alg, {(): h}).terms == {"": h}
+    assert h.evaluate({"h": True}) == 1 and ParamPoly.const(Fraction(4, 2)).terms == {0: 2}
 
 
 def test_product_past_the_field_raises():
