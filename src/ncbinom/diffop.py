@@ -18,7 +18,7 @@ import math
 import operator
 
 from .freealg import NCPoly
-from .scalars import ParamPoly, _add_term, _box, _scalar_text, _Sparse, pairings
+from .scalars import ParamPoly, _add_term, _box, _Sparse, pairings
 
 
 def _degree(value) -> int:
@@ -63,11 +63,15 @@ class Poly1(_Sparse):
         return max(self.terms) if self.terms else None
 
     def coefficient(self, degree: int) -> ParamPoly:
-        """The coefficient of x^degree, always as a ``ParamPoly``."""
-        return _box(self.terms.get(degree, 0))
+        """The coefficient of x^degree, always as a ``ParamPoly``; 0 for a
+        degree that ``_degree`` refuses."""
+        try:
+            return _box(self.terms.get(_degree(degree), 0))
+        except ValueError:
+            return _box(0)
 
     def to_json(self) -> dict:
-        return {"coeffs": {str(d): _scalar_text(c) for d, c in self.canonical_terms()}}
+        return {"coeffs": {str(d): str(c) for d, c in self.canonical_terms()}}
 
     @classmethod
     def from_json(cls, doc: dict) -> Poly1:
@@ -135,8 +139,7 @@ class DiffOp(_Sparse):
                     _add_term(terms, key, base * (math.comb(b1, j) * math.perm(a2, j)))
         return self._new(terms)
 
-    def _mul(self, other: DiffOp) -> DiffOp:
-        return self.compose(other)
+    _mul = compose
 
     def apply(self, p: Poly1) -> Poly1:
         """Act on a polynomial; exact falling-factorial derivative action."""

@@ -19,7 +19,7 @@ import itertools
 import operator
 from typing import NamedTuple
 
-from .scalars import ContextMismatchError, ParamPoly, _box, _scalar_text, _Sparse
+from .scalars import ContextMismatchError, ParamPoly, _box, _Sparse
 
 
 class Generator(NamedTuple):
@@ -156,6 +156,9 @@ class NCPoly(_Sparse):
 
     _UNIT = ""
     _key_mul = staticmethod(operator.add)
+    # Keys sort by code point, which is alphabet position, and the stable
+    # sort by length keeps that order within each length.
+    _order = staticmethod(len)
 
     def __init__(self, algebra: Algebra, terms):
         """Build from a word -> scalar map or (word, scalar) pairs; words are packed."""
@@ -178,17 +181,6 @@ class NCPoly(_Sparse):
     # (perfbench/tracer.py) counts products and renders.
     __mul__ = _Sparse.__mul__
     text = _Sparse.text
-
-    def canonical_terms(self) -> list:
-        """(key, coefficient) pairs by word length, then alphabet position.
-
-        Keys sort by code point, which is alphabet position, and a stable
-        sort by length keeps that order within each length.
-        """
-        keys = sorted(self.terms)
-        keys.sort(key=len)
-        terms = self.terms
-        return [(key, terms[key]) for key in keys]
 
     def items(self):
         """Yield (word of generators, stored coefficient) for each term."""
@@ -218,7 +210,7 @@ class NCPoly(_Sparse):
         name = self.algebra._names.__getitem__
         return {
             "terms": [
-                {"coeff": _scalar_text(coeff), "word": list(map(name, key))}
+                {"coeff": str(coeff), "word": list(map(name, key))}
                 for key, coeff in self.canonical_terms()
             ]
         }

@@ -11,9 +11,11 @@ structural equality stays exact either way.
 Every value type of the package (``ParamPoly`` here, ``NCPoly`` in
 :mod:`ncbinom.freealg`, ``Poly1`` and ``DiffOp`` in :mod:`ncbinom.diffop`) is
 a finite linear combination of keys and shares the ring plumbing of
-``_Sparse``, its one constructor from outside (a map or pairs) included;
-each type supplies only its key conversion, key product, key text and term
-order.  Only ``int`` and ``Fraction`` enter as rationals: no float, no string.
+``_Sparse``, its one constructor from outside (a map or pairs), term order
+and ``substitute`` included, which check keys and bindings whatever the
+coefficients; each type supplies only its key conversion, key product, key
+text and term order ``_order``.  Only ``int`` and ``Fraction`` enter as
+rationals: no float, no string.
 
 A ``ParamPoly`` monomial is one ``int`` with a bit field per parameter, in
 the order parameters are first used, so the monomial product is ``int``
@@ -117,11 +119,6 @@ def _box(coeff) -> ParamPoly:
     return coeff if type(coeff) is ParamPoly else ParamPoly.const(coeff)
 
 
-def _scalar_text(coeff) -> str:
-    """The ``ParamPoly.from_text`` form of a stored coefficient."""
-    return coeff.text() if type(coeff) is ParamPoly else str(coeff)
-
-
 def _coeff_text(coeff) -> tuple[bool, str]:
     """(negative, text of the magnitude) of one coefficient.
 
@@ -147,9 +144,9 @@ class _Sparse:
     ``int``, ``Fraction`` and ``ParamPoly`` lift onto the unit key.  A subclass
     supplies its unit key ``_UNIT``, its key product ``_key_mul`` (or
     overrides ``_mul`` when one key pair yields several keys), its key text
-    ``_key_text``, its term order, as ``_order`` (a sort key on keys) or
-    its own ``canonical_terms``, and ``_key``, which puts a key from outside
-    in stored form.
+    ``_key_text``, its term order ``_order`` (a sort key; ties go by key)
+    and ``_key``, which puts a key from outside in stored form, checked
+    whatever its coefficient, as the bindings of ``substitute`` are.
     """
 
     __slots__ = ("terms",)
@@ -159,9 +156,10 @@ class _Sparse:
         keys go through ``_key``, keys that store alike are summed, zeros drop."""
         self.terms = {}
         for key, value in (terms.items() if hasattr(terms, "items") else terms):
+            key = self._key(key)
             coeff = self._coeff(value)
             if coeff:
-                _add_term(self.terms, self._key(key), coeff)
+                _add_term(self.terms, key, coeff)
 
     @staticmethod
     def _coeff(value):
@@ -289,19 +287,27 @@ class _Sparse:
         return result
 
     def substitute(self, bindings: dict):
-        """Bind coefficient parameters (e.g. h -> 1), keeping the keys."""
+        """Bind parameters (e.g. h -> 1), keeping the rest; each value is checked once, first."""
+        values = {name: ParamPoly._coeff(value) for name, value in bindings.items()}
+        return self._bind([(_FIELD * i, values[name])
+                           for i, name in enumerate(_NAMES) if name in values])
+
+    def _bind(self, fields: list):
+        """``substitute`` over (field offset, value) pairs, coefficient by coefficient."""
         terms = {}
         for key, coeff in self.terms.items():
             if type(coeff) is ParamPoly:
-                coeff = _demote(coeff.substitute(bindings))
+                coeff = _demote(coeff._bind(fields))
             if coeff:
                 terms[key] = coeff
         return self._new(terms)
 
     def canonical_terms(self) -> list:
-        """(key, coefficient) pairs in this type's term order."""
-        order = self._order
-        return sorted(self.terms.items(), key=lambda item: order(item[0]))
+        """(key, coefficient) pairs by ``_order``, ties by key (a stable sort)."""
+        keys = sorted(self.terms)
+        keys.sort(key=self._order)
+        terms = self.terms
+        return [(key, terms[key]) for key in keys]
 
     def text(self) -> str:
         """Canonical rendering in term order, e.g. ``1 + 3*h + 2*h^2``.
@@ -340,10 +346,13 @@ _REGISTRY = threading.Lock()
 
 
 def _shift(name: str) -> int:
-    """The offset of ``name``'s field, registering a name met the first time."""
+    """The offset of ``name``'s field, registering a name met the first time
+    if ``from_text`` can read it back."""
     global _GUARD
     with _REGISTRY:
         if name not in _NAMES:
+            if not (isinstance(name, str) and _PARAM_NAME.fullmatch(name)):
+                raise ValueError(f"parameter name {name!r} does not match {_PARAM_NAME.pattern}")
             _GUARD |= 1 << (_FIELD * len(_NAMES) + _FIELD - 1)
             _NAMES.append(name)
         return _FIELD * _NAMES.index(name)
@@ -380,7 +389,8 @@ def _monomial_text(key: int) -> str:
 
 
 _TERM_SPLIT = re.compile(r" ([+-]) ")
-_FACTOR = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^([0-9]+))?$")
+_PARAM_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_FACTOR = re.compile(rf"^({_PARAM_NAME.pattern})(?:\^([0-9]+))?$")
 _NUMBER = re.compile(r"^[0-9]+(?:/[0-9]+)?$")
 
 
@@ -494,19 +504,18 @@ class ParamPoly(_Sparse):
             raise UnboundParameterError(min(unbound))
         return self.substitute(bindings).constant_value()
 
-    def substitute(self, bindings: dict) -> ParamPoly:
-        """Bind a subset of the parameters, keeping the rest symbolic."""
-        values = {name: self._coeff(value) for name, value in bindings.items()}
-        pairs = []
+    def _bind(self, fields: list) -> ParamPoly:
+        """Clear each bound field in place, folding ``value ** power`` into the coefficient."""
+        terms: dict = {}
         for key, coeff in self.terms.items():
-            kept = []
-            for name, power in _unpack(key):
-                if name in values:
-                    coeff = coeff * values[name] ** power
-                else:
-                    kept.append((name, power))
-            pairs.append((kept, coeff))
-        return ParamPoly(pairs)
+            for shift, value in fields:
+                power = key >> shift & _MASK
+                if power:
+                    coeff *= value ** power
+                    key -= power << shift
+            if coeff:
+                _add_term(terms, key, coeff)
+        return self._new(terms)
 
     @classmethod
     def from_text(cls, text: str) -> ParamPoly:

@@ -77,8 +77,19 @@ def test_degrees_from_outside_are_checked():
                       lambda: DiffOp({(0, degree): 1})):
             with pytest.raises(ValueError, match=re.escape(f"degree {degree!r} is not")):
                 build()
-    with pytest.raises(ValueError, match="degree '-1'"):
-        Poly1.from_json({"coeffs": {"-1": "1"}})
+    # checked whatever the coefficient, zero included
+    for build, degree in ((lambda: Poly1({-1: 0}), -1), (lambda: DiffOp({(1.5, 0): 0}), 1.5),
+                          (lambda: Poly1.from_json({"coeffs": {"-1": "0"}}), "-1")):
+        with pytest.raises(ValueError, match=re.escape(f"degree {degree!r} is not")):
+            build()
+    for doc in ({"coeffs": {"-1": "1"}}, {"coeffs": {"-1": "0"}}):
+        with pytest.raises(ValueError, match="degree '-1'"):
+            Poly1.from_json(doc)
+    # the accessor reads a degree the same way; one it refuses reads 0
+    p = Poly1({"3": 5, 0: 1})
+    assert p.coefficient("3") == p.coefficient("03") == p.coefficient(3) == 5
+    for degree in (-1, "-1", 1.5, "x", None, True):
+        assert p.coefficient(degree) == 0 and type(p.coefficient(degree)) is ParamPoly
     with pytest.raises(ValueError, match="degree -2"):
         Poly1.x_power(-2)
 

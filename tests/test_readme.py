@@ -3,7 +3,7 @@
 Every ``$ ncbinom ...`` line in a plain fenced block is run through
 ``ncbinom.cli.main``, and its stdout must equal the lines printed under it
 byte for byte.  The ``python`` Library block is executed, so its asserts
-must hold.
+must hold, and every name the package exports must be named in code.
 """
 
 import argparse
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import ncbinom
 from ncbinom.binomial import EXPAND_METHODS
 from ncbinom.cli import build_parser, main
 from ncbinom.verify import SUITES
@@ -73,3 +74,13 @@ def test_listed_methods_and_suites_match_the_code():
     (method,) = [action for action in commands.choices["expand"]._actions
                  if action.dest == "method"]
     assert list(method.choices) == list(EXPAND_METHODS)
+
+
+def test_every_export_is_named():
+    # as a whole name in a code span or a fenced block, not inside prose
+    text = README.read_text(encoding="utf-8")
+    code = [body for _, body in FENCE.findall(text)]
+    code += re.findall(r"`([^`]+)`", FENCE.sub("", text))
+    missing = [name for name in ncbinom.__all__ if name != "__version__"
+               and not any(re.search(rf"(?<!\w){name}(?!\w)", span) for span in code)]
+    assert missing == []

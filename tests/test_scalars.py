@@ -2,6 +2,7 @@ import json
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -121,11 +122,29 @@ def test_unbound_parameter_is_named():
     assert value == 4 and type(value) is Fraction
 
 
-def test_substitute_partial():
+def test_substitute_partial(monkeypatch):
     h, lam = ParamPoly.param("h"), ParamPoly.param("lam")
     p = 2 * h * lam + lam ** 2
-    assert p.substitute({"h": 1}) == 2 * lam + lam ** 2
-    assert p.substitute({"h": 1, "lam": 3}) == ParamPoly.const(15)
+    cases = [
+        (p, {"h": 1}, 2 * lam + lam ** 2),
+        (p, {"h": 1, "lam": 3}, ParamPoly.const(15)),
+        (p, {"lam": 0}, ParamPoly.zero()),
+        # keys that meet once bound are summed, and a sum that cancels drops
+        (h * lam - lam, {"h": 1}, ParamPoly.zero()),
+        (h * lam + 2 * lam - h, {"h": -2, "never_bound": 1}, ParamPoly.const(2)),
+        (2 * h ** 3 * lam + 3 * h + 1, {"h": 2}, 16 * lam + 7),
+    ]
+    # bound fields are read and cleared in place: no key is decoded or packed
+    monkeypatch.setattr(scalars, "_unpack", None)
+    monkeypatch.setattr(scalars, "_pack", None)
+    monkeypatch.setattr(ParamPoly, "_key", None)
+    results = [value.substitute(bindings) for value, bindings, _ in cases]
+    monkeypatch.undo()
+    for result, (_, _, expected) in zip(results, cases):
+        assert result.terms == expected.terms
+        # bare coefficients bound to ints stay ints
+        assert all(type(c) is int for c in result.terms.values())
+    assert "never_bound" not in scalars._NAMES
 
 
 def test_canonical_text():
@@ -295,11 +314,21 @@ def test_constructor_packs_monomials_canonically():
             ParamPoly({(("h", power),): 1})
         with pytest.raises(ValueError, match="'h'"):
             ParamPoly.param("h", power)
+    # a name is registered only if from_text can read it back
+    alg = Algebra("A")
+    for name in ("h*lam", "h^2", "2h", "", "h lam", "h\n", "\u00e9", 3, None, ("h",)):
+        for make in (lambda: ParamPoly.param(name), lambda: ParamPoly({((name, 2),): 1})):
+            with pytest.raises(ValueError, match=re.escape(f"parameter name {name!r}")):
+                make()
+        assert name not in scalars._NAMES
+    assert NCPoly.from_json(alg, (ParamPoly.param("h_2") * alg.gen("A")).to_json()).text() == "h_2*A"
     too_big = 2 ** (scalars._FIELD - 1)
     for make in (lambda: ParamPoly.param("h", too_big),
                  lambda: ParamPoly({(("h", too_big - 1), ("h", 1)): 1}),
                  lambda: ParamPoly.from_text(f"1 + h^{too_big}"),
-                 lambda: ParamPoly.from_text(f"h^{too_big} - h^{too_big}")):
+                 lambda: ParamPoly.from_text(f"h^{too_big} - h^{too_big}"),
+                 lambda: ParamPoly.from_text(f"0*h^{too_big}"),
+                 lambda: ParamPoly({(("h", too_big),): 0})):
         with pytest.raises(ValueError, match="'h'"):
             make()
 
@@ -352,6 +381,12 @@ def test_inexact_scalars_are_refused():
         lambda value: h.evaluate({"h": value}),
         lambda value: h.substitute({"h": value}),
         lambda value: (h * alg.gen("A")).substitute({"h": value}),
+        # bindings are checked whatever the coefficients, constant or none
+        lambda value: (3 * alg.gen("A")).substitute({"h": value}),
+        lambda value: alg.zero().substitute({"h": value}),
+        lambda value: Poly1({2: 1}).substitute({"h": value}),
+        lambda value: DiffOp.x().substitute({"h": value}),
+        lambda value: ParamPoly.const(2).substitute({"h": value}),
         lambda value: NCPoly(alg, {(): value}),
         lambda value: Poly1({0: value}),
         lambda value: DiffOp({(0, 0): value}),
