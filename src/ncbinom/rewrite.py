@@ -19,10 +19,16 @@ theory", 1978), and ``validate`` reduces each overlap both ways.
 
 The reducer multiplies in the quotient: it pushes one letter at a time into
 an already-normal word, memoizing nf(letter * word) for the length of one
-call.  It reads the packed ``str`` words of :mod:`ncbinom.freealg` as they
-are: a letter's code point is its alphabet position, so a word is normal iff
-its letters are non-decreasing, and its central letters are those below
-``chr(n_central)``.
+call.  Only the letters below the pushed one move.  No admissible
+replacement term has a non-central letter above its pair's later letter:
+the transposition holds the pair itself, and any other term's letters,
+sorted descending, come before [later, earlier].  So no reduction of g * u
+makes a letter above g, nf(g * u * t) = nf(g * u) * t for a normal tail t of
+letters >= g, and the memo is keyed by g and u alone.  The letters to push
+form one stream of one-letter jobs.  It reads the packed ``str`` words of
+:mod:`ncbinom.freealg` as they are: a letter's code point is its alphabet
+position, so a word is normal iff its letters are non-decreasing, and its
+central letters are those below ``chr(n_central)``.
 """
 
 from __future__ import annotations
@@ -215,8 +221,9 @@ class RelationSystem:
         result: dict = {"": 1}
         for _ in range(n):
             acc: dict = {}
-            for w, c in p.terms.items():
-                reducer._run(reducer._fold(w, {u: c * cu for u, cu in result.items()}, acc))
+            reducer._run(reducer._fold(chain.from_iterable(
+                _jobs(w, {u: c * cu for u, cu in result.items()}, acc)
+                for w, c in p.terms.items())))
             result = acc
         return self.algebra._poly(result)
 
@@ -229,15 +236,34 @@ class RelationSystem:
         return f"RelationSystem({label}, {len(self.rules)} rules)"
 
 
+def _jobs(word: str, terms: dict, acc: dict):
+    """The one-letter jobs of ``_Reducer._fold`` that add nf(word * w) * c to
+    ``acc`` for each normal w, c of ``terms``.
+
+    The letters go right to left, each job's terms being the dict the job
+    before it fills; the empty word is the one job of the empty letter.
+    """
+    for g in word[:0:-1]:
+        pushed: dict = {}
+        yield g, terms, pushed
+        terms = pushed
+    yield word[:1], terms, acc
+
+
 class _Reducer:
     """Memoized normal forms for one call of ``normal_form`` or ``power``.
 
     Words are packed as in ``NCPoly.terms``, and ``compiled`` is the rule
     table of ``RelationSystem.validate``.  Central letters are moved into
-    place without rules or memo entries.  ``memo[(g, u)]`` holds nf(g * u) for a non-central letter g
-    and a normal word u free of central letters with u[0] < g; every entry
-    is one rule application against the budget.  ``reduce`` takes free
-    input; ``power`` runs ``_fold`` directly, its words being normal.
+    place without rules or memo entries.  ``memo[(g, u)]`` holds nf(g * u)
+    for a non-central letter g and a normal word u of non-central letters,
+    all below g; every entry is one rule application against the budget.
+    The rest of a word passes through: its central letters merge into the
+    result's, and its tail of letters >= g is appended, since a validated
+    rule makes no non-central letter above the later letter of its pair.
+    ``reduce`` takes free input; ``power`` runs ``_fold`` directly, its
+    words being normal.  ``reduce`` runs one ``_fold`` generator per call,
+    and ``power`` one per step.
     """
 
     def __init__(self, system: RelationSystem, compiled: dict, budget: int):
@@ -269,15 +295,17 @@ class _Reducer:
             while len(levels) <= cut:
                 levels.append({})
             _add_term(levels[cut].setdefault(word[:cut], {}), word[cut:], coeff)
-        self._run(self._fold_prefixes(levels))
+        self._run(self._fold(self._fold_prefixes(levels)))
         return acc
 
     def _fold_prefixes(self, levels: list[dict]):
+        """The jobs that push each prefix's last letter into its terms,
+        adding into the terms of the prefix one letter shorter."""
         while len(levels) > 1:
             level = levels.pop()
             parents = levels[-1]
             for prefix, terms in level.items():
-                yield from self._fold(prefix[-1:], terms, parents.setdefault(prefix[:-1], {}))
+                yield prefix[-1], terms, parents.setdefault(prefix[:-1], {})
 
     def _run(self, task):
         """Run a generator that yields the (letter, word) pushes it needs.
@@ -307,51 +335,53 @@ class _Reducer:
             stack.append((need, self._push(*need)))
             value = None  # a new generator starts on None
 
-    def _fold(self, letters: str, terms: dict, acc: dict):
-        """Add nf(letters * w) * c to ``acc`` for each normal w of ``terms``:
-        letters are pushed right to left, the first one's terms into ``acc``."""
+    def _fold(self, jobs):
+        """Run one-letter jobs (g, terms, acc), each adding nf(g * w) * c to
+        ``acc`` for every normal w, c of ``terms``; the empty g adds w itself.
+
+        Jobs are read one at a time, so a job's terms may be the ``acc`` of
+        the job before it.  Of the non-central part of w, only the letters
+        below g move: they key the memo, and the rest is appended.
+        """
         memo = self.memo
         central = self.central
-        if not letters:
-            for w, c in terms.items():
-                _add_term(acc, w, c)
-        for pos in range(len(letters) - 1, -1, -1):
-            g = letters[pos]
-            pushed = {} if pos else acc
+        for g, terms, acc in jobs:
             for w, c in terms.items():
                 if not w or g <= w[0]:
-                    _add_term(pushed, g + w, c)
+                    _add_term(acc, g + w, c)
                     continue
                 if g < central:
                     # central letters commute with everything: insert in order
                     i = bisect_right(w, g)
-                    _add_term(pushed, w[:i] + g + w[i:], c)
+                    _add_term(acc, w[:i] + g + w[i:], c)
                     continue
                 # g commutes past the central prefix; only the rest is rewritten
                 k = bisect_left(w, central)
                 head, u = w[:k], w[k:]
                 if not u or g <= u[0]:
-                    _add_term(pushed, head + g + u, c)
+                    _add_term(acc, head + g + u, c)
                     continue
+                j = bisect_left(u, g, 1)
+                u, tail = u[:j], u[j:]
                 value = memo.get((g, u))
                 if value is None:
                     value = yield (g, u)
                 for r, cr in value.items():
+                    r += tail
                     if head:
                         # merge the prefix with any central letters r starts with
                         r = "".join(sorted(head + r)) if r and r[0] < central else head + r
-                    _add_term(pushed, r, c * cr)
-            terms = pushed
+                    _add_term(acc, r, c * cr)
 
     def _push(self, g: str, u: str):
-        """nf(g * u) for a non-central u[0] < g.
+        """nf(g * u) for non-central letters u, all below g.
 
         Applies the rule for the pair (g, u[0]) and folds each replacement
         term into u[1:].
         """
         out: dict = {}
-        for v, cv in self.compiled[(g, u[0])]:
-            yield from self._fold(v, {u[1:]: cv}, out)
+        yield from self._fold(chain.from_iterable(
+            _jobs(v, {u[1:]: cv}, out) for v, cv in self.compiled[(g, u[0])]))
         return out
 
 

@@ -8,9 +8,11 @@ reports it as JSON-ready data instead of raising; a check over random draws
 takes them from a generator, so a failing check draws no further.
 The library's second paths live here, unexported: the D_k recurrence, the
 Weyl coefficient triangle, the Hermite recurrence and explicit sum, the
-worklist reducer against ``RelationSystem.normal_form``, and the twisted
-powers in closed form.  So do the check-only helpers ``random_ncpoly`` and
-``strategy_agreement``, which ``ncbinom`` does not export.
+worklist reducer against ``RelationSystem.normal_form``, the twisted
+powers in closed form, and the closed form of (A + B)^n under
+BA = q*AB + h*A^2, an oracle for the rewrite path with two parameters.  So
+do the check-only helpers ``random_ncpoly`` and ``strategy_agreement``,
+which ``ncbinom`` does not export.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, replace
 
 from .binomial import (
     _ab,
+    _ordered_sum,
     closed_form_hsq,
     closed_form_weyl,
     essential_expand,
@@ -78,6 +81,22 @@ def _twisted_closed_form(k: int, algebra: Algebra | None = None) -> NCPoly:
         for head in itertools.product((a, b), repeat=k - 1 - t):
             terms["".join(head) + tail] = coeff
     return algebra._poly(terms)
+
+
+def _closed_form_qh(n: int, algebra: Algebra | None = None) -> NCPoly:
+    """(A + B)^n under BA = q*AB + h*A^2, ordered: sum_k [n k]_q
+    prod_{0<j<k} (1 + [j]_q h) A^k B^(n-k) (Benaoum, J. Phys. A 32 (1999) 2037).
+
+    [j]_q = 1 + q + ... + q^(j-1), and the Gaussian binomials [n k]_q come
+    row by row from [m i] = [m-1 i-1] + q^i [m-1 i].
+    """
+    q, h = ParamPoly.param("q"), ParamPoly.param("h")
+    row, gammas, bracket = [1], [1], 0  # bracket is [m-1]_q
+    for m in range(1, n + 1):
+        row = [1] + [row[i - 1] + q ** i * row[i] for i in range(1, m)] + [1]
+        gammas.append(gammas[-1] * (1 + bracket * h))
+        bracket = 1 + q * bracket
+    return _ordered_sum([c * gamma for c, gamma in zip(row, gammas)], algebra)
 
 
 def _weyl_triangle(n: int, algebra: Algebra) -> list[NCPoly]:

@@ -17,6 +17,7 @@ from ncbinom.rewrite import (
 )
 from ncbinom.scalars import ParamPoly
 from ncbinom.verify import (
+    _closed_form_qh,
     _twisted_closed_form,
     _worklist_normal_form,
     random_ncpoly,
@@ -367,14 +368,33 @@ def test_packed_letters_under_a_reordered_alphabet():
                     assert positions == sorted(positions)
 
 
+def _three_letter_systems():
+    """Two systems over A < B < C whose rule CB makes a term that lowers a
+    letter (A^2) or keeps the later one (AC)."""
+    alg = Algebra("A", "B", "C")
+    a, b, c = (alg.gen(name) for name in "ABC")
+    return [RelationSystem(alg, {("B", "A"): a * b + a, ("C", "A"): a * c,
+                                 ("C", "B"): b * c + a * a}),
+            RelationSystem(alg, {("B", "A"): a * b, ("C", "A"): a * c,
+                                 ("C", "B"): b * c + a * c})]
+
+
 def test_memo_reducer_matches_worklist_on_random_inputs():
+    # The memo holds nf(g * u) for the letters u below g only, and the rest
+    # of the word is appended to it: rules over three non-central letters,
+    # or with central letters in their terms, must not change a normal form.
     rng = random.Random(17)
-    for system in _systems() + [_sl2(), _three_centrals()]:
+    for system in _systems() + [_sl2(), _three_centrals()] + _three_letter_systems():
+        assert system.validate().ok
+        leftmost, rightmost = _worklists(system)
         for _ in range(80):
             p = random_ncpoly(rng, system.algebra, max_degree=6, max_terms=5)
             memo = system.normal_form(p)
-            assert memo == _worklist_normal_form(system, p, leftmost=True)
-            assert memo == _worklist_normal_form(system, p, leftmost=False)
+            assert memo == leftmost(p)
+            assert memo == rightmost(p)
+        s = sum((system.gen(g.name) for g in system.alphabet[-3:]), system.algebra.zero())
+        for n in range(7):
+            assert system.power(s, n) == rightmost(s ** n)
 
 
 def test_power_matches_normal_form_of_free_power():
@@ -438,6 +458,31 @@ def test_closed_forms_match_power_at_24():
     wa, wb = weyl.gen("A"), weyl.gen("B")
     closed = weyl.normal_form(closed_form_weyl(24, weyl.algebra))
     assert closed == weyl.power(wa + wb, 24)
+
+
+def test_qh_closed_form_and_its_specializations():
+    # BA = q*AB + h*A^2 is hsq at q = 1 and the q-commuting plane at h = 0,
+    # whose (A+B)^n has the Gaussian binomials as coefficients.
+    q = ParamPoly.param("q")
+    alg = Algebra("A", "B")
+    a, b = alg.gen("A"), alg.gen("B")
+    qh = RelationSystem(alg, {("B", "A"): q * a * b + H * a * a})
+    q_plane = RelationSystem(alg, {("B", "A"): q * a * b})
+    hsq = make_family("hsq")
+    for n in range(17):
+        closed = _closed_form_qh(n, alg)
+        if n <= 12:
+            assert closed == qh.power(a + b, n)
+        assert closed.substitute({"q": 1}) == hsq.power(hsq.gen("A") + hsq.gen("B"), n)
+        gauss = closed.substitute({"h": 0})
+        assert gauss == q_plane.power(a + b, n)
+        # [n k]_q by the other Pascal rule, [m i] = q^(m-i) [m-1 i-1] + [m-1 i]
+        row = [1]
+        for m in range(1, n + 1):
+            row = [1] + [q ** (m - i) * row[i - 1] + row[i] for i in range(1, m)] + [1]
+        assert gauss == sum((g * a ** k * b ** (n - k) for k, g in enumerate(row)), alg.zero())
+    gauss = _closed_form_qh(4, alg).substitute({"h": 0})
+    assert gauss.coefficient(alg.word("A", "A", "B", "B")) == 1 + q + 2 * q ** 2 + q ** 3 + q ** 4
 
 
 def test_twisted_closed_form_in_quotients():
@@ -513,7 +558,7 @@ def test_budget_error_carries_its_facts():
 
 # Rule applications to reduce (A+B)^n, per reducer, for n = 4, 5, ...
 WORKLIST_COUNTS = {"hsq": [49, 294, 1893, 13572], "weyl": [51, 248, 1131, 5049]}
-MEMO_COUNTS = {"hsq": [6, 10, 15, 21, 28], "weyl": [6, 10, 15, 21]}
+MEMO_COUNTS = {"hsq": [3, 4, 5, 6, 7], "weyl": [3, 4, 5, 6]}
 
 
 def test_rule_application_counts():
@@ -545,17 +590,27 @@ def _smallest_budget(call):
 
 
 def test_power_rule_application_counts():
-    # power counts as normal_form of the free power does (MEMO_COUNTS);
-    # the facts of a refused budget pin the order of its pushes.
-    for system in (make_family("hsq"), make_family("weyl"), load_system(USER_SYSTEM)):
+    # power counts as normal_form of the free power does (MEMO_COUNTS).  The
+    # memo is keyed by the letters that move, so pushing B into A^i B^j reads
+    # the entry of B*A^i, and (A+B)^n takes n - 1 rule applications.  The
+    # facts of a refused budget pin the order of its pushes.
+    for system in _systems():
         s = system.gen("A") + system.gen("B")
         counts = [_smallest_budget(functools.partial(system.power, s, n)) for n in range(4, 9)]
-        assert counts == [6, 10, 15, 21, 28]
+        assert counts == [3, 4, 5, 6, 7]
+        for n in (16, 40):
+            system.power(s, n, budget=n - 1)
+            with pytest.raises(BudgetExceededError) as info:
+                system.power(s, n, budget=n - 2)
+            assert info.value.word == f"B*A^{n - 1}"
+        system.normal_form(s ** 10, budget=9)
+        with pytest.raises(BudgetExceededError):
+            system.normal_form(s ** 10, budget=8)
     hsq = make_family("hsq")
     a, b = hsq.gen("A"), hsq.gen("B")
-    assert _smallest_budget(functools.partial(hsq.power, a + 2 * b + a * b, 6)) == 44
-    for budget, steps, word in ((0, 1, "B*A"), (1, 2, "B*A^2"), (3, 4, "B*A^3"),
-                                (10, 11, "B*A^5")):
+    assert _smallest_budget(functools.partial(hsq.power, a + 2 * b + a * b, 6)) == 9
+    for budget, steps, word in ((0, 1, "B*A"), (1, 2, "B*A^2"), (3, 4, "B*A^4"),
+                                (4, 5, "B*A^5")):
         with pytest.raises(BudgetExceededError) as info:
             hsq.power(a + b, 6, budget=budget)
         assert (info.value.budget, info.value.steps, info.value.word) == (budget, steps, word)
