@@ -4,7 +4,12 @@ Layers: exact scalars (rationals, parameter polynomials), the free
 associative algebra, normal-ordering rewrite systems, the binomial
 expansion engines and closed forms, and a differential-operator
 realization on polynomials.
+
+The differential operators and the verification suites are exports served
+on first use, so importing the package or its CLI loads neither.
 """
+
+import importlib
 
 from .binomial import (
     EXPAND_METHODS,
@@ -25,13 +30,6 @@ from .binomial import (
     weyl_coefficient,
     weyl_m_text,
     weyl_triple,
-)
-from .diffop import (
-    DiffOp,
-    Poly1,
-    hermite,
-    lambda_expansion,
-    realize,
 )
 from .freealg import (
     Algebra,
@@ -61,9 +59,17 @@ from .scalars import (
     binom,
     factorial,
 )
-from .verify import SUITES, CheckResult, run_suite
 
 __version__ = "0.1.0"
+
+# The suite names live here, not in ``verify``, so that the CLI parser can
+# offer them without loading the suites.
+SUITES = ("statements", "theorem1", "theorem2", "hsq", "weyl", "exp", "hermite")
+
+_LAZY = {
+    **dict.fromkeys(("DiffOp", "Poly1", "hermite", "lambda_expansion", "realize"), "diffop"),
+    **dict.fromkeys(("CheckResult", "run_suite"), "verify"),
+}
 
 __all__ = [
     "EXPAND_METHODS",
@@ -116,3 +122,16 @@ __all__ = [
     "run_suite",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """Load the module of a deferred export (PEP 562) and cache the name."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,7 +15,7 @@ triangle that check them are private to :mod:`ncbinom.verify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .freealg import Algebra, NCPoly, commutator, twisted_power, twisted_powers
 from .rewrite import FAMILIES, RelationSystem, load_system, make_family
@@ -272,19 +272,15 @@ _METHODS = {
 EXPAND_METHODS = tuple(_METHODS)
 
 
-@dataclass
-class ExpansionReport:
+class ExpansionReport(namedtuple("ExpansionReport",
+                                 ("n", "method", "relation", "oracle_match", "result"))):
     """One expansion next to its brute-force oracle verdict."""
 
-    n: int
-    method: str
-    relation: str | None
-    oracle_match: bool
-    result: NCPoly
+    __slots__ = ()
 
     def to_json(self) -> dict:
         """The fields in declaration order, with the result as JSON."""
-        return {**vars(self), "result": self.result.to_json()}
+        return {**self._asdict(), "result": self.result.to_json()}
 
 
 def expansion_report(n: int, method: str, relation=None) -> ExpansionReport:

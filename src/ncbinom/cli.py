@@ -4,7 +4,8 @@ Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage error (bad flags, incompatible method/relation, unreadable or
 malformed input).
 All randomized suites take an explicit seed so output is reproducible
-byte for byte.
+byte for byte.  The ``verify`` and ``hermite`` commands import
+:mod:`ncbinom.verify` when they run, so the other commands never load it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import json
 import sys
 
+from . import SUITES
 from .binomial import (
     EXPAND_METHODS,
     exp_defect,
@@ -23,7 +25,6 @@ from .binomial import (
 )
 from .rewrite import BudgetExceededError, InvalidSystemError
 from .scalars import factorial
-from .verify import SUITES, hermite_paths, run_suite
 
 
 def _print_json(doc: dict) -> None:
@@ -45,6 +46,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     results = run_suite(args.suite, args.max_n, args.seed)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -63,6 +66,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hermite(args) -> int:
+    from .verify import hermite_paths
+
     values, disagreement = hermite_paths(args.n)
     if disagreement is not None:
         print(f"error: generation paths disagree at n={disagreement['n']}", file=sys.stderr)

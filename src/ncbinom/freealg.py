@@ -17,20 +17,18 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import NamedTuple
+from collections import namedtuple
 
 from .scalars import ContextMismatchError, ParamPoly, _box, _Sparse
 
 
-class Generator(NamedTuple):
+class Generator(namedtuple("Generator", ("name", "central", "index"), defaults=(False, 0))):
     """One letter of the alphabet as the API shows it, packed to
     ``chr(index)`` in a ``terms`` key; ``central`` marks it as commuting
     with everything (only the rewrite layer acts on this flag); central
     letters take the first indices."""
 
-    name: str
-    central: bool = False
-    index: int = 0
+    __slots__ = ()
 
 
 # A word (monomial of the free algebra): possibly empty tuple of generators.

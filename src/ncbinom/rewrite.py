@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain, combinations
 
 from .freealg import Algebra, ContextMismatchError, Generator, NCPoly
@@ -71,10 +71,8 @@ class MalformedSystemError(RewriteError, ValueError):
     """A system document does not follow the ``load_system`` schema."""
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
+# The default is a tuple: a namedtuple default is one object shared by every report.
+ValidationReport = namedtuple("ValidationReport", ("ok", "violations"), defaults=((),))
 
 
 class RelationSystem:
@@ -345,6 +343,8 @@ class _Reducer:
         """
         memo = self.memo
         central = self.central
+        # with one central letter, head + r is in order: both runs are that letter
+        sort_central = self.system.n_central > 1
         for g, terms, acc in jobs:
             for w, c in terms.items():
                 if not w or g <= w[0]:
@@ -367,11 +367,13 @@ class _Reducer:
                 if value is None:
                     value = yield (g, u)
                 for r, cr in value.items():
-                    r += tail
-                    if head:
-                        # merge the prefix with any central letters r starts with
-                        r = "".join(sorted(head + r)) if r and r[0] < central else head + r
-                    _add_term(acc, r, c * cr)
+                    if sort_central and head and r and r[0] < central:
+                        # merge the prefix's central run with the one r starts with
+                        i = bisect_left(r, central)
+                        r = "".join(sorted(head + r[:i])) + r[i:]
+                    else:
+                        r = head + r
+                    _add_term(acc, r + tail, c * cr)
 
     def _push(self, g: str, u: str):
         """nf(g * u) for non-central letters u, all below g.

@@ -20,8 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
+from . import SUITES
 from .binomial import (
     _ab,
     _ordered_sum,
@@ -45,12 +46,8 @@ RANDOM_CASES = 500
 _RANDOM_COEFFS = (-3, -2, -1, 1, 2, 3)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    counterexample: dict | None = None
+CheckResult = namedtuple("CheckResult", ("name", "passed", "detail", "counterexample"),
+                         defaults=(None,))
 
 
 def _essential_recurrence(k: int, algebra: Algebra | None = None) -> NCPoly:
@@ -626,17 +623,9 @@ def _random_poly1(rng: random.Random) -> Poly1:
     return Poly1(coeffs)
 
 
-_SUITE_FUNCS = {
-    "statements": _suite_statements,
-    "theorem1": _suite_theorem1,
-    "theorem2": _suite_theorem2,
-    "hsq": _suite_hsq,
-    "weyl": _suite_weyl,
-    "exp": _suite_exp,
-    "hermite": _suite_hermite,
-}
-
-SUITES = tuple(_SUITE_FUNCS)
+_SUITE_FUNCS = dict(zip(SUITES, (
+    _suite_statements, _suite_theorem1, _suite_theorem2, _suite_hsq, _suite_weyl,
+    _suite_exp, _suite_hermite), strict=True))
 
 
 def run_suite(suite: str, max_n: int | None = None,
@@ -658,5 +647,5 @@ def run_suite(suite: str, max_n: int | None = None,
     def bound(default: int) -> int:
         return default if max_n is None else max_n
 
-    return [replace(result, name=f"{name}/{result.name}")
+    return [result._replace(name=f"{name}/{result.name}")
             for name in names for result in _SUITE_FUNCS[name](bound, seed)]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ncbinom import cli
+from ncbinom import cli, verify
 from ncbinom.binomial import free_pair, twisted_expand, weyl_triple
 from ncbinom.cli import build_parser, main
 from ncbinom.freealg import Algebra, NCPoly
@@ -172,7 +172,7 @@ def test_verify_failure_prints_the_counterexample(capsys, monkeypatch):
         CheckResult("weyl/bad", False, "n=3 differs", {"n": 3, "got": "A"}),
         CheckResult("weyl/later", False, "n=4 differs", {"n": 4}),
     ]
-    monkeypatch.setattr(cli, "run_suite", lambda suite, max_n, seed: results)
+    monkeypatch.setattr(verify, "run_suite", lambda suite, max_n, seed: results)
     code, out, err = run(capsys, "verify", "--suite", "weyl")
     assert (code, err) == (1, "")
     assert out == (

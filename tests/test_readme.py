@@ -74,6 +74,9 @@ def test_listed_methods_and_suites_match_the_code():
     (method,) = [action for action in commands.choices["expand"]._actions
                  if action.dest == "method"]
     assert list(method.choices) == list(EXPAND_METHODS)
+    (suite,) = [action for action in commands.choices["verify"]._actions
+                if action.dest == "suite"]
+    assert suite.choices == SUITES + ("all",)
 
 
 def test_every_export_is_named():
