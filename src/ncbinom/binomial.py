@@ -15,8 +15,6 @@ triangle that check them are private to :mod:`ncbinom.verify`.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .freealg import Algebra, NCPoly, commutator, twisted_power, twisted_powers
 from .rewrite import FAMILIES, RelationSystem, load_system, make_family
 from .scalars import ParamPoly, binom, factorial, pairings
@@ -272,15 +270,40 @@ _METHODS = {
 EXPAND_METHODS = tuple(_METHODS)
 
 
-class ExpansionReport(namedtuple("ExpansionReport",
-                                 ("n", "method", "relation", "oracle_match", "result"))):
-    """One expansion next to its brute-force oracle verdict."""
+class ExpansionReport:
+    """One expansion next to its brute-force oracle verdict.
 
-    __slots__ = ()
+    A mutable record (``oracle_match`` stays settable) that compares and
+    prints by its fields, written out so that importing needs no
+    ``dataclasses``.
+    """
+
+    __slots__ = ("n", "method", "relation", "oracle_match", "result")
+    __hash__ = None  # mutable and compared by value
+
+    def __init__(self, n: int, method: str, relation: str | None,
+                 oracle_match: bool, result: NCPoly):
+        self.n = n
+        self.method = method
+        self.relation = relation
+        self.oracle_match = oracle_match
+        self.result = result
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def to_json(self) -> dict:
         """The fields in declaration order, with the result as JSON."""
-        return {**self._asdict(), "result": self.result.to_json()}
+        return {**self._fields(), "result": self.result.to_json()}
 
 
 def expansion_report(n: int, method: str, relation=None) -> ExpansionReport:

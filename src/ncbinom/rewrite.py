@@ -369,8 +369,7 @@ class _Reducer:
                 for r, cr in value.items():
                     if sort_central and head and r and r[0] < central:
                         # merge the prefix's central run with the one r starts with
-                        i = bisect_left(r, central)
-                        r = "".join(sorted(head + r[:i])) + r[i:]
+                        r = "".join(sorted(head + r))
                     else:
                         r = head + r
                     _add_term(acc, r + tail, c * cr)

@@ -623,9 +623,16 @@ def _random_poly1(rng: random.Random) -> Poly1:
     return Poly1(coeffs)
 
 
-_SUITE_FUNCS = dict(zip(SUITES, (
-    _suite_statements, _suite_theorem1, _suite_theorem2, _suite_hsq, _suite_weyl,
-    _suite_exp, _suite_hermite), strict=True))
+# Keyed and ordered as ``SUITES`` (tests/test_imports.py checks it).
+_SUITE_FUNCS = {
+    "statements": _suite_statements,
+    "theorem1": _suite_theorem1,
+    "theorem2": _suite_theorem2,
+    "hsq": _suite_hsq,
+    "weyl": _suite_weyl,
+    "exp": _suite_exp,
+    "hermite": _suite_hermite,
+}
 
 
 def run_suite(suite: str, max_n: int | None = None,

@@ -227,6 +227,19 @@ def test_expansion_report_free_method():
     assert NCPoly.from_json(ALG, doc["result"]) == brute(2)
 
 
+def test_expansion_report_is_a_mutable_record():
+    report = expansion_report(1, "brute")
+    assert report == expansion_report(1, "brute") != expansion_report(2, "brute")
+    assert report != (1, "brute", None, True, report.result)
+    assert repr(report) == (
+        f"ExpansionReport(n=1, method='brute', relation=None, oracle_match=True, "
+        f"result={report.result!r})")
+    report.oracle_match = False
+    assert report.to_json()["oracle_match"] is False
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)
+
+
 def test_expansion_report_closed_defaults():
     report = expansion_report(3, "closed_weyl")
     assert report.relation == "weyl"

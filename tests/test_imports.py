@@ -62,3 +62,7 @@ def test_deferred_exports_are_listed_and_bound():
     assert "DiffOp" in vars(ncbinom)  # cached by the first lookup
     with pytest.raises(AttributeError, match="has no attribute 'hermite_paths'"):
         ncbinom.hermite_paths
+
+
+def test_suite_table_follows_the_package_names():
+    assert tuple(verify._SUITE_FUNCS) == ncbinom.SUITES
