@@ -18,11 +18,9 @@ from .binomial import (
     closed_form_hsq,
     closed_form_weyl,
     essential_expand,
-    essential_part,
     exp_defect,
     expansion_report,
     free_pair,
-    gamma_factor,
     m_basis,
     m_derivation_expand,
     resolve_relation,
@@ -39,7 +37,6 @@ from .freealg import (
     Word,
     commutator,
     twisted_power,
-    word_text,
 )
 from .rewrite import (
     DEFAULT_BUDGET,
@@ -67,7 +64,7 @@ __version__ = "0.1.0"
 SUITES = ("statements", "theorem1", "theorem2", "hsq", "weyl", "exp", "hermite")
 
 _LAZY = {
-    **dict.fromkeys(("DiffOp", "Poly1", "hermite", "lambda_expansion", "realize"), "diffop"),
+    **dict.fromkeys(("DiffOp", "Poly1", "hermite"), "diffop"),
     **dict.fromkeys(("CheckResult", "run_suite"), "verify"),
 }
 
@@ -78,11 +75,9 @@ __all__ = [
     "closed_form_hsq",
     "closed_form_weyl",
     "essential_expand",
-    "essential_part",
     "exp_defect",
     "expansion_report",
     "free_pair",
-    "gamma_factor",
     "m_basis",
     "m_derivation_expand",
     "resolve_relation",
@@ -93,8 +88,6 @@ __all__ = [
     "DiffOp",
     "Poly1",
     "hermite",
-    "lambda_expansion",
-    "realize",
     "Algebra",
     "ContextMismatchError",
     "Generator",
@@ -102,7 +95,6 @@ __all__ = [
     "Word",
     "commutator",
     "twisted_power",
-    "word_text",
     "DEFAULT_BUDGET",
     "FAMILIES",
     "BudgetExceededError",

@@ -10,7 +10,8 @@ The brute-force oracle throughout is ``(a + b) ** n`` in the free algebra,
 the ``brute`` engine of ``_METHODS`` (method -> engine and required family).
 Every engine refuses a negative n with "n must be non-negative".  Each
 function computes one path; the D_k recurrence and the Weyl coefficient
-triangle that check them are private to :mod:`ncbinom.verify`.
+triangle that check them live in :mod:`ncbinom.verify`, and so does the
+one-shot D_k, ``essential_part``: the engines read D_k from a running sequence.
 """
 
 from __future__ import annotations
@@ -92,15 +93,6 @@ def _brute_power(n: int, algebra: Algebra | None = None) -> NCPoly:
     return (a + b) ** n
 
 
-def essential_part(k: int, algebra: Algebra | None = None) -> NCPoly:
-    """D_k = (A+d_B)^k 1 - A^k, the deviation from the commutative power.
-
-    D_0 = D_1 = 0, and D_k vanishes identically whenever A and B commute.
-    """
-    algebra, a, b = _ab(algebra)
-    return twisted_power(a, b, k) - a ** k
-
-
 def essential_expand(n: int, algebra: Algebra | None = None) -> NCPoly:
     """Expansion M_n + sum_k C(n,k) D_k B^(n-k); equals (A+B)^n freely."""
     algebra, a, b = _ab(algebra)
@@ -128,7 +120,8 @@ def m_derivation_expand(n: int, algebra: Algebra | None = None) -> NCPoly:
 def gamma_factors(n: int):
     """Yield gamma_0 .. gamma_n by gamma_{k+1} = (1 + k*h) gamma_k from gamma_0 = 1.
 
-    Each element costs one product with the one before.
+    gamma_k is the product (1+h)(1+2h)...(1+(k-1)h), 1 at h=0 and k! at
+    h=1.  Each element costs one product with the one before.
     """
     _check_n(n)
     h = ParamPoly.param("h")
@@ -137,16 +130,6 @@ def gamma_factors(n: int):
     for k in range(n):
         value = (1 + k * h) * value
         yield value
-
-
-def gamma_factor(n: int) -> ParamPoly:
-    """The product (1+h)(1+2h)...(1+(n-1)h); empty product for n <= 1.
-
-    The last element of :func:`gamma_factors`.  Evaluates to 1 at h=0 and
-    to n! at h=1.
-    """
-    *_, value = gamma_factors(n)
-    return value
 
 
 def closed_form_hsq(n: int, algebra: Algebra | None = None) -> NCPoly:
@@ -245,7 +228,8 @@ def exp_defect(which: str, order: int, algebra: Algebra | None = None) -> NCPoly
 def resolve_relation(relation) -> tuple[RelationSystem | None, str | None]:
     """Accept None, a family name, a JSON file path, or a RelationSystem.
 
-    Returns the system plus the identifier used in reports.
+    Returns the system plus the identifier used in reports; a string that
+    names neither a family nor an existing file raises ``ValueError``.
     """
     if relation is None:
         return None, None
@@ -254,7 +238,13 @@ def resolve_relation(relation) -> tuple[RelationSystem | None, str | None]:
     if isinstance(relation, str):
         if relation in FAMILIES:
             return make_family(relation), relation
-        return load_system(relation), relation
+        try:
+            return load_system(relation), relation
+        except FileNotFoundError:
+            raise ValueError(
+                f"relation {relation!r} is neither a family ({', '.join(FAMILIES)})"
+                " nor an existing file"
+            ) from None
     raise TypeError(f"cannot interpret {relation!r} as a relation system")
 
 

@@ -9,7 +9,8 @@ action exact and equality decidable.
 This realizes the abstract expansions: A = x with B = lam*D gives a central
 commutator [B, A] = lam, and B = x^2*D gives [B, A] = A^2.  Iterating
 (x - D) on the seed 1 generates the probabilists' Hermite polynomials; the
-paths that check them are private to :mod:`ncbinom.verify`.
+paths that check them, the realization of free-algebra elements and the
+closed form of (x + lam*D)^n 1 are private to :mod:`ncbinom.verify`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .freealg import NCPoly
-from .scalars import ParamPoly, _add_term, _box, _Sparse, pairings
+from .scalars import ParamPoly, _add_term, _box, _Sparse
 
 
 def _degree(value) -> int:
@@ -151,17 +151,6 @@ class DiffOp(_Sparse):
         return p._new(terms)
 
 
-def realize(p: NCPoly, mapping: dict[str, DiffOp]) -> DiffOp:
-    """Interpret a free-algebra element as an operator, word by word."""
-    total = DiffOp.zero()
-    for word, coeff in p.items():
-        op = DiffOp.identity()
-        for g in word:
-            op = op.compose(mapping[g.name])
-        total = total + coeff * op
-    return total
-
-
 def hermite_sequence(n: int):
     """Yield He_0 .. He_n as (x - D)^j 1, each power one step from the one before."""
     if n < 0:
@@ -186,16 +175,3 @@ def hermite(n: int, via: str = "operator") -> Poly1:
     *_, result = hermite_sequence(n)
     return result
 
-
-def lambda_expansion(n: int) -> Poly1:
-    """(x + lam*D)^n applied to 1, in closed form.
-
-    sum_k x^(n-2k) * n!/((n-2k)! k! 2^k) * lam^k; at lam = -1 this is He_n.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    lam = ParamPoly.param("lam")
-    coeffs = {}
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = pairings(n, k) * lam ** k
-    return Poly1(coeffs)

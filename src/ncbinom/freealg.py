@@ -44,22 +44,20 @@ def _run_length(word, name) -> str:
     return "*".join(parts) or "1"
 
 
-def word_text(word: Word) -> str:
-    """Run-length rendering, e.g. ``A^2*B``; the empty word is ``1``."""
-    return _run_length(word, operator.itemgetter(0))
-
-
 class Algebra:
     """A generator context: an ordered alphabet with centrality flags.
 
     ``generators`` lists the central letters first, then the rest, each in
     declaration order.  Equality is structural (same names, flags, order),
     so algebras built independently from the same description interoperate.
+    ``central`` is a collection of names; a bare string is refused.
     """
 
     __slots__ = ("generators", "_by_name", "_codes", "_names")
 
     def __init__(self, *names: str, central=()):
+        if isinstance(central, str):
+            raise TypeError(f"central must be a collection of names, not the string {central!r}")
         central = frozenset(central)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")

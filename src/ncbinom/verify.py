@@ -11,8 +11,10 @@ Weyl coefficient triangle, the Hermite recurrence and explicit sum, the
 worklist reducer against ``RelationSystem.normal_form``, the twisted
 powers in closed form, and the closed form of (A + B)^n under
 BA = q*AB + h*A^2, an oracle for the rewrite path with two parameters.  So
-do the check-only helpers ``random_ncpoly`` and ``strategy_agreement``,
-which ``ncbinom`` does not export.
+do the one-shot helpers that only the checks call (the realization of
+free-algebra elements, (x + lam*D)^n 1 in closed form, ``essential_part``)
+and the check-only ``random_ncpoly`` and ``strategy_agreement``, none of
+which ``ncbinom`` exports.
 """
 
 from __future__ import annotations
@@ -29,16 +31,15 @@ from .binomial import (
     closed_form_hsq,
     closed_form_weyl,
     essential_expand,
-    essential_part,
     exp_defect,
-    gamma_factor,
+    gamma_factors,
     m_basis,
     m_derivation_expand,
     twisted_expand,
     weyl_coefficient,
 )
-from .diffop import DiffOp, Poly1, hermite, hermite_sequence, lambda_expansion, realize
-from .freealg import Algebra, NCPoly, commutator
+from .diffop import DiffOp, Poly1, hermite, hermite_sequence
+from .freealg import Algebra, NCPoly, commutator, twisted_power
 from .rewrite import DEFAULT_BUDGET, BudgetExceededError, RelationSystem, make_family
 from .scalars import ParamPoly, _add_term, binom, factorial, pairings
 
@@ -48,6 +49,17 @@ _RANDOM_COEFFS = (-3, -2, -1, 1, 2, 3)
 
 CheckResult = namedtuple("CheckResult", ("name", "passed", "detail", "counterexample"),
                          defaults=(None,))
+
+
+# Public, unlike the other one-shot helpers here, because perfbench/tracer.py
+# hooks it by this name in any layer module to count its twisted steps.
+def essential_part(k: int, algebra: Algebra | None = None) -> NCPoly:
+    """D_k = (A+d_B)^k 1 - A^k, the deviation from the commutative power.
+
+    D_0 = D_1 = 0, and D_k vanishes identically whenever A and B commute.
+    """
+    algebra, a, b = _ab(algebra)
+    return twisted_power(a, b, k) - a ** k
 
 
 def _essential_recurrence(k: int, algebra: Algebra | None = None) -> NCPoly:
@@ -136,6 +148,24 @@ def _hermite_oracle(n: int, via: str) -> Poly1:
     raise ValueError(f"unknown via {via!r}")
 
 
+def _realize(p: NCPoly, mapping: dict[str, DiffOp]) -> DiffOp:
+    """Interpret a free-algebra element as an operator, word by word."""
+    total = DiffOp.zero()
+    for word, coeff in p.items():
+        op = DiffOp.identity()
+        for g in word:
+            op = op.compose(mapping[g.name])
+        total = total + coeff * op
+    return total
+
+
+def _lambda_expansion(n: int) -> Poly1:
+    """(x + lam*D)^n applied to 1, in closed form: sum_k x^(n-2k) *
+    n!/((n-2k)! k! 2^k) * lam^k; at lam = -1 this is He_n."""
+    lam = ParamPoly.param("lam")
+    return Poly1({n - 2 * k: pairings(n, k) * lam ** k for k in range(n // 2 + 1)})
+
+
 def hermite_paths(n: int) -> tuple[list[Poly1], dict | None]:
     """He_0 .. He_n and None, or the first degree where the paths disagree.
 
@@ -204,7 +234,7 @@ def x2d_check(n: int, seed_degree: int = 0) -> bool:
     direct = seed
     for _ in range(n):
         direct = (x_op + x2d).apply(direct)
-    closed = realize(closed_form_hsq(n).substitute({"h": 1}), {"A": x_op, "B": x2d})
+    closed = _realize(closed_form_hsq(n).substitute({"h": 1}), {"A": x_op, "B": x2d})
     return direct == closed.apply(seed)
 
 
@@ -216,7 +246,7 @@ def m_realization(n: int) -> Poly1:
     """
     lam = ParamPoly.param("lam")
     mapping = {"A": DiffOp.x(), "B": lam * DiffOp.d()}
-    return realize(m_basis(n), mapping).apply(Poly1.one())
+    return _realize(m_basis(n), mapping).apply(Poly1.one())
 
 
 def weyl_realization_check(n: int) -> bool:
@@ -232,8 +262,8 @@ def weyl_realization_check(n: int) -> bool:
         "B": lam * DiffOp.d(),
         "C": lam * DiffOp.identity(),
     }
-    realized = realize(closed_form_weyl(n), mapping).apply(Poly1.one())
-    expected = lambda_expansion(n)
+    realized = _realize(closed_form_weyl(n), mapping).apply(Poly1.one())
+    expected = _lambda_expansion(n)
     return realized == expected and lambda_power_apply(n) == expected
 
 
@@ -447,13 +477,14 @@ def _suite_hsq(bound, seed: int) -> list[CheckResult]:
     a, b = algebra.gen("A"), algebra.gen("B")
     h = ParamPoly.param("h")
     n_max = bound(8)
-    gamma_max = bound(12)
+    gamma_max = bound(12)  # >= n_max, as both come from one bound
+    gammas = list(gamma_factors(gamma_max))
 
     def coefficients(n):
         closed = closed_form_hsq(n, algebra)
         for k in range(n + 1):
             word = algebra.word(*(["A"] * k + ["B"] * (n - k)))
-            expected = binom(n, k) * gamma_factor(k)
+            expected = binom(n, k) * gammas[k]
             if closed.coefficient(word) != expected:
                 return {"n": n, "k": k, "closed_form": closed.to_json()}
         return None
@@ -467,14 +498,14 @@ def _suite_hsq(bound, seed: int) -> list[CheckResult]:
         return None
 
     def gamma_checkpoints(n):
-        value = gamma_factor(n)
+        value = gammas[n]
         if value.evaluate({"h": 0}) != 1 or value.evaluate({"h": 1}) != factorial(n):
             return {"n": n, "gamma": value.text()}
         return None
 
     def essential_collapse(k):
         reduced = system.normal_form(essential_part(k, algebra))
-        expected = (gamma_factor(k) - 1) * a ** k
+        expected = (gammas[k] - 1) * a ** k
         return _differs(reduced, expected, "normal_form", k=k)
 
     def transport(k):
@@ -568,7 +599,7 @@ def _suite_hermite(bound, seed: int) -> list[CheckResult]:
         return _differs(m_realization(n), Poly1.x_power(n), "result", n=n)
 
     def lambda_paths(n):
-        closed = lambda_expansion(n)
+        closed = _lambda_expansion(n)
         if closed != lambda_power_apply(n):
             return {"n": n, "closed": closed.to_json()}
         if closed.substitute({"lam": -1}) != _hermite_recurrence(n)[-1]:

@@ -11,11 +11,9 @@ from ncbinom.binomial import (
     closed_form_hsq,
     closed_form_weyl,
     essential_expand,
-    essential_part,
     exp_defect,
     expansion_report,
     free_pair,
-    gamma_factor,
     gamma_factors,
     m_basis,
     m_derivation_expand,
@@ -32,6 +30,7 @@ from ncbinom.verify import (
     _essential_recurrence,
     _twisted_closed_form,
     _weyl_triangle,
+    essential_part,
     m_power_defect,
     m_product_defect,
 )
@@ -104,23 +103,20 @@ def test_m_defects_vanish():
 
 
 def test_gamma_values():
-    assert gamma_factor(0) == ParamPoly.one()
-    assert gamma_factor(1) == ParamPoly.one()
-    assert gamma_factor(2) == 1 + H
-    assert gamma_factor(3) == 1 + 3 * H + 2 * H ** 2
-    with pytest.raises(ValueError):
-        gamma_factor(-1)
+    assert list(gamma_factors(3)) == [ParamPoly.one(), ParamPoly.one(), 1 + H,
+                                      1 + 3 * H + 2 * H ** 2]
 
 
 def test_gamma_checkpoints():
-    for n in range(13):
-        assert gamma_factor(n).evaluate({"h": 0}) == 1
-        assert gamma_factor(n).evaluate({"h": 1}) == factorial(n)
+    for n, gamma in enumerate(gamma_factors(12)):
+        assert gamma.evaluate({"h": 0}) == 1
+        assert gamma.evaluate({"h": 1}) == factorial(n)
 
 
 def test_gamma_recurrence_step():
+    gammas = list(gamma_factors(8))
     for k in range(8):
-        assert gamma_factor(k + 1) == (1 + k * H) * gamma_factor(k)
+        assert gammas[k + 1] == (1 + k * H) * gammas[k]
 
 
 def test_closed_form_hsq_values():
@@ -136,12 +132,13 @@ def test_closed_form_hsq_quotient():
 
 
 def test_closed_form_hsq_coefficients():
+    gammas = list(gamma_factors(6))
     for n in range(7):
         closed = closed_form_hsq(n)
         at_one = closed.substitute({"h": 1})
         for k in range(n + 1):
             word = ALG.word(*(["A"] * k + ["B"] * (n - k)))
-            assert closed.coefficient(word) == binom(n, k) * gamma_factor(k)
+            assert closed.coefficient(word) == binom(n, k) * gammas[k]
             assert at_one.coefficient(word) == factorial(n) / factorial(n - k)
 
 
@@ -360,7 +357,6 @@ def test_gamma_factors_walk_the_recurrence_once(monkeypatch):
             value = value * (1 + j * h)
         expected.append(value)
     assert list(gamma_factors(12)) == expected
-    assert [gamma_factor(k) for k in range(13)] == expected
     with pytest.raises(ValueError):
         list(gamma_factors(-1))
 

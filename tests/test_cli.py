@@ -309,6 +309,14 @@ def test_missing_relation_file(capsys):
     assert "error:" in err
 
 
+def test_unknown_relation_names_the_families_and_the_file(capsys):
+    code, out, err = run(capsys, "expand", "--n", "2", "--method", "brute", "--relation", "wyel")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: relation 'wyel' is neither a family (commutative, hsq, weyl)"
+                   " nor an existing file\n")
+
+
 def test_relation_path_is_a_directory(capsys, tmp_path):
     code, out, err = run(
         capsys, "expand", "--n", "2", "--method", "brute", "--relation", str(tmp_path),

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncbinom.binomial import m_basis
-from ncbinom.diffop import DiffOp, Poly1, hermite, lambda_expansion, realize
+from ncbinom.diffop import DiffOp, Poly1, hermite
 from ncbinom.rewrite import make_family
 from ncbinom.scalars import ParamPoly
 from ncbinom.verify import (
     _hermite_explicit_sum,
     _hermite_recurrence,
+    _lambda_expansion,
+    _realize,
     lambda_power_apply,
     m_realization,
     random_ncpoly,
@@ -147,20 +149,20 @@ def test_hermite_paths_agree():
 
 
 def test_lambda_expansion_values():
-    assert lambda_expansion(0) == Poly1.one()
-    assert lambda_expansion(1) == Poly1.x_power(1)
-    assert lambda_expansion(2) == Poly1({2: 1, 0: LAM})
-    assert lambda_expansion(3) == Poly1({3: 1, 1: 3 * LAM})
+    assert _lambda_expansion(0) == Poly1.one()
+    assert _lambda_expansion(1) == Poly1.x_power(1)
+    assert _lambda_expansion(2) == Poly1({2: 1, 0: LAM})
+    assert _lambda_expansion(3) == Poly1({3: 1, 1: 3 * LAM})
 
 
 def test_lambda_expansion_matches_operator_power():
     for n in range(9):
-        assert lambda_expansion(n) == lambda_power_apply(n)
+        assert _lambda_expansion(n) == lambda_power_apply(n)
 
 
 def test_lambda_expansion_specializes_to_hermite():
     for n in range(11):
-        assert lambda_expansion(n).substitute({"lam": -1}) == _hermite_recurrence(n)[-1]
+        assert _lambda_expansion(n).substitute({"lam": -1}) == _hermite_recurrence(n)[-1]
 
 
 def test_m_realization_gives_x_power():
@@ -171,7 +173,7 @@ def test_m_realization_gives_x_power():
 def test_realize_word_order():
     mapping = {"A": X, "B": LAM * D}
     p = m_basis(2)
-    op = realize(p, mapping)
+    op = _realize(p, mapping)
     # x^2 + 2 x (lam D) + (lam D)^2, normal ordered
     assert op == DiffOp(
         {(2, 0): ParamPoly.one(), (1, 1): 2 * LAM, (0, 2): LAM ** 2}
@@ -203,4 +205,4 @@ def test_compose_matches_weyl_quotient():
             names = [g.name for g in word]
             key = (names.count("A"), names.count("B"))
             expected = expected + coeff * DiffOp.term(*key)
-        assert realize(p, mapping) == expected
+        assert _realize(p, mapping) == expected

@@ -11,7 +11,6 @@ from ncbinom.freealg import (
     commutator,
     twisted_power,
     twisted_powers,
-    word_text,
 )
 from ncbinom.binomial import free_pair, weyl_triple
 from ncbinom.rewrite import FAMILIES, load_system, make_family
@@ -31,9 +30,8 @@ def ncpolys(max_degree=3):
 
 
 def test_word_rendering():
-    assert word_text(ALG.word()) == "1"
-    assert word_text(ALG.word("A", "A", "B")) == "A^2*B"
-    assert word_text(ALG.word("B", "A", "B")) == "B*A*B"
+    for names, text in [((), "1"), (("A", "A", "B"), "A^2*B"), (("B", "A", "B"), "B*A*B")]:
+        assert NCPoly(ALG, {ALG.word(*names): 1}).text() == text
 
 
 def test_basic_arithmetic():
@@ -140,6 +138,12 @@ def test_structural_algebra_equality():
     # independently built contexts interoperate
     p = Algebra("A", "B").gen("A") + Algebra("A", "B").gen("B")
     assert p == Algebra("A", "B").gen("A") + Algebra("A", "B").gen("B")
+
+
+def test_central_refuses_a_bare_string():
+    with pytest.raises(TypeError, match="not the string 'Cx'"):
+        Algebra("Cx", "A", central="Cx")
+    assert Algebra("Cx", "A", central=("Cx",)).generator("Cx").central
 
 
 def test_generators_compare_and_hash_by_value():

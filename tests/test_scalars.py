@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from ncbinom import scalars
 from ncbinom.binomial import closed_form_hsq
-from ncbinom.diffop import DiffOp, Poly1, lambda_expansion
+from ncbinom.diffop import DiffOp, Poly1
 from ncbinom.freealg import Algebra, NCPoly
 from ncbinom.rewrite import load_system, make_family
 from ncbinom.scalars import ParamPoly, UnboundParameterError, _unpack, binom, factorial
+from ncbinom.verify import _lambda_expansion
 
 
 def monomials():
@@ -226,7 +227,7 @@ def test_constant_coefficients_are_stored_bare():
         "Poly1": [Poly1.one(), Poly1.x_power(1), Poly1.x_power(3)],
     }
     values = [h * a - h * a + a, (1 + h) * a - h * a, a * h + a * (1 - h),
-              closed_form_hsq(4).substitute({"h": 1}), lambda_expansion(5)]
+              closed_form_hsq(4).substitute({"h": 1}), _lambda_expansion(5)]
     for pool in pools.values():
         for _ in range(150):
             p = rng.choice(pool)

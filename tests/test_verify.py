@@ -159,5 +159,5 @@ def test_check_only_names_are_not_exported():
         assert name not in ncbinom.__all__
         assert not hasattr(ncbinom, name)
         assert callable(getattr(verify, name))
-    assert len(ncbinom.__all__) == 49
+    assert len(ncbinom.__all__) == 44
     assert all(hasattr(ncbinom, name) for name in ncbinom.__all__)
