@@ -44,18 +44,31 @@ def _run_length(word, name) -> str:
     return "*".join(parts) or "1"
 
 
+def _name_fault(name) -> str | None:
+    """Why ``name`` cannot name a generator, or None if it can."""
+    if not isinstance(name, str):
+        return "must be a string"
+    return None if name else "must not be empty"
+
+
 class Algebra:
     """A generator context: an ordered alphabet with centrality flags.
 
     ``generators`` lists the central letters first, then the rest, each in
     declaration order.  Equality is structural (same names, flags, order),
     so algebras built independently from the same description interoperate.
-    ``central`` is a collection of names; a bare string is refused.
+    Every name is a non-empty string.  ``central`` is a collection of
+    names; a bare string is refused.
     """
 
     __slots__ = ("generators", "_by_name", "_codes", "_names")
 
     def __init__(self, *names: str, central=()):
+        for name in names:
+            fault = _name_fault(name)
+            if fault:
+                error = ValueError if isinstance(name, str) else TypeError
+                raise error(f"generator name {name!r} {fault}")
         if isinstance(central, str):
             raise TypeError(f"central must be a collection of names, not the string {central!r}")
         central = frozenset(central)

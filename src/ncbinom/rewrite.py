@@ -38,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import chain, combinations
 
-from .freealg import Algebra, ContextMismatchError, Generator, NCPoly
+from .freealg import Algebra, ContextMismatchError, Generator, NCPoly, _name_fault
 from .scalars import ParamPoly, _add_term
 
 DEFAULT_BUDGET = 10**6
@@ -454,8 +454,8 @@ def load_system(source) -> RelationSystem:
         where = f"alphabet entry {i}"
         name = _require(entry, "name", where)
         central = entry.get("central", False)
-        fault = ('"name" must be a string' if not isinstance(name, str) else
-                 '"name" must not be empty' if not name else
+        fault = _name_fault(name)
+        fault = (f'"name" {fault}' if fault else
                  f"repeats name {name}" if any(name == n for n, _ in alphabet) else
                  '"central" must be a bool' if not isinstance(central, bool) else None)
         if fault:

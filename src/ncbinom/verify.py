@@ -8,17 +8,18 @@ reports it as JSON-ready data instead of raising; a check over random draws
 takes them from a generator, so a failing check draws no further.
 The library's second paths live here, unexported: the D_k recurrence, the
 Weyl coefficient triangle, the Hermite recurrence and explicit sum, the
-worklist reducer against ``RelationSystem.normal_form``, the twisted
-powers in closed form, and the closed form of (A + B)^n under
-BA = q*AB + h*A^2, an oracle for the rewrite path with two parameters.  So
-do the one-shot helpers that only the checks call (the realization of
-free-algebra elements, (x + lam*D)^n 1 in closed form, ``essential_part``)
-and the check-only ``random_ncpoly`` and ``strategy_agreement``, none of
-which ``ncbinom`` exports.
+worklist reducer against ``RelationSystem.normal_form`` (equal words
+merge, and the largest goes first), the twisted powers in closed form, and
+the closed form of (A + B)^n under BA = q*AB + h*A^2, an oracle for the
+rewrite path with two parameters.  So do the one-shot helpers that only the
+checks call (the realization of free-algebra elements, (x + lam*D)^n 1 in
+closed form, ``essential_part``) and the check-only ``random_ncpoly`` and
+``strategy_agreement``, none of which ``ncbinom`` exports.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -273,24 +274,29 @@ def _worklist_normal_form(system: RelationSystem, p: NCPoly, leftmost: bool,
     rightmost redex of each word per step: the oracle of ``normal_form``.
 
     The rule table is built here from ``system.rules``, so a fault in the
-    reducer's compiled table shows as a disagreement.  ``budget`` counts
-    every step, central swaps included.
+    reducer's compiled table shows as a disagreement.  Equal pending words
+    merge, a word whose total cancels is dropped, and the largest pending
+    word in packed order is rewritten first.  The built-in and README rules
+    all yield earlier words, so there each word is rewritten once, after
+    every word that leads to it.  ``budget`` counts every rewrite.
     """
     system._check_input(p)
     letter = {g.name: chr(g.index) for g in system.alphabet}
     rules = {(letter[later], letter[earlier]): replacement.canonical_terms()
              for (later, earlier), replacement in system.rules.items()}
 
-    # Each work item carries where its next redex search starts: the
-    # prefix before a leftmost redex is normal, and so is the suffix
-    # after a rightmost one, so only the seam around the rewritten pair
-    # needs scanning again.
-    central = chr(system.n_central)
-    acc: dict = {}
-    work = [(word, coeff, 0 if leftmost else len(word)) for word, coeff in p.terms.items()]
-    steps = 0
-    while work:
-        word, coeff, start = work.pop()
+    # A heap entry's key mirrors each letter and ends above every letter,
+    # so the least key is the largest word.  Only words with a redex enter
+    # the heap, each with the position of its redex.  A redex search starts
+    # at the seam around the rewritten pair: the prefix before a leftmost
+    # redex is normal, and so is the suffix after a rightmost one.
+    size, central = len(letter), chr(system.n_central)
+    mirror, end = {i: size - i for i in range(size)}, chr(size + 1)
+    acc, pending, heap, steps = {}, {}, [], 0
+
+    def push(word, coeff, start):
+        if word in pending:
+            return _add_term(pending, word, coeff)
         # the leftmost redex at or after start, or the rightmost before it
         if leftmost:
             positions = range(start, len(word) - 1)
@@ -298,10 +304,17 @@ def _worklist_normal_form(system: RelationSystem, p: NCPoly, leftmost: bool,
             positions = reversed(range(min(start, len(word) - 1)))
         for i in positions:
             if word[i] > word[i + 1]:
-                break
-        else:
-            _add_term(acc, word, coeff)
+                pending[word] = coeff
+                return heapq.heappush(heap, (word.translate(mirror) + end, word, i))
+        _add_term(acc, word, coeff)
+
+    for word, coeff in p.terms.items():
+        push(word, coeff, 0 if leftmost else len(word))
+    while heap:
+        _, word, i = heapq.heappop(heap)
+        if word not in pending:  # cancelled, or already rewritten
             continue
+        coeff = pending.pop(word)
         steps += 1
         if steps > budget:
             raise BudgetExceededError(budget, steps, system.algebra._poly({word: 1}).text())
@@ -313,8 +326,7 @@ def _worklist_normal_form(system: RelationSystem, p: NCPoly, leftmost: bool,
         else:
             rewritten = [(w, coeff * c) for w, c in rules[(x, y)]]
         for rword, rcoeff in rewritten:
-            start = max(i - 1, 0) if leftmost else i + len(rword)
-            work.append((left + rword + right, rcoeff, start))
+            push(left + rword + right, rcoeff, max(i - 1, 0) if leftmost else i + len(rword))
     return system.algebra._poly(acc)
 
 

@@ -146,6 +146,18 @@ def test_central_refuses_a_bare_string():
     assert Algebra("Cx", "A", central=("Cx",)).generator("Cx").central
 
 
+@pytest.mark.parametrize("names, error, message", [
+    (("A", 3), TypeError, "generator name 3 must be a string"),
+    ((("A", "B"),), TypeError, "generator name ('A', 'B') must be a string"),
+    (("", "A"), ValueError, "generator name '' must not be empty"),
+], ids=["int", "tuple", "empty"])
+def test_generator_names_are_non_empty_strings(names, error, message):
+    # load_system refuses the same names through the same gate
+    with pytest.raises(error) as info:
+        Algebra(*names)
+    assert str(info.value) == message
+
+
 def test_generators_compare_and_hash_by_value():
     first, second = Algebra("A", "B"), Algebra("A", "B")
     assert first.generator("A") == second.generator("A")

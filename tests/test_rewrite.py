@@ -336,6 +336,44 @@ def test_worklist_oracle_reads_its_own_rules():
         assert reduce(b * a) == a * b + H * a * a
 
 
+def test_worklist_merges_pending_words_before_rewriting():
+    # B*A*A rewrites to A*B*A + h*A^3, and that A*B*A cancels the input's
+    # before it is rewritten.  In the second input B^2*A rewrites to
+    # B*A*B + h*B*A^2: B*A*B cancels, and the h terms of B*A^2 cancel to a
+    # bare 1, which A*B*A and then A^2*B inherit.
+    hsq = make_family("hsq")
+    a, b = hsq.gen("A"), hsq.gen("B")
+    cancelling = b * b * a - b * a * b + (1 - H) * b * a * a
+    for p, steps in ((b * a * a - a * b * a, 1), (cancelling, 3)):
+        for reduce in _worklists(hsq):
+            result = reduce(p)
+            assert result == hsq.normal_form(p)
+            assert 0 not in result.terms.values()
+            assert not any(type(c) is ParamPoly and c.is_constant()
+                           for c in result.terms.values())
+            assert _smallest_budget(lambda budget: reduce(p, budget=budget)) == steps
+    assert hsq.normal_form(b * a * a - a * b * a) == H * a * a * a
+    assert hsq.normal_form(cancelling) == a * a * b + 2 * H * a * a * a
+
+
+def test_worklist_reaches_the_twelfth_power():
+    # Under hsq each word of the free power but the n + 1 normal ones is
+    # rewritten exactly once, so the count is 2^n - n - 1 (4083 at n = 12).
+    hsq = make_family("hsq")
+    s = hsq.gen("A") + hsq.gen("B")
+    for n in range(4, 13):
+        free, power, count = s ** n, hsq.power(s, n), 2 ** n - n - 1
+        for reduce in _worklists(hsq):
+            assert reduce(free, budget=count) == power
+            with pytest.raises(BudgetExceededError):
+                reduce(free, budget=count - 1)
+    for system in (make_family("weyl"), load_system(USER_SYSTEM)):
+        s = system.gen("A") + system.gen("B")
+        free, power = s ** 12, system.power(s, 12)
+        for reduce in _worklists(system):
+            assert reduce(free) == power
+
+
 def _three_centrals():
     """Three central letters, the rule producing two: BA -> AB + 2D - C."""
     alg = Algebra("C", "D", "E", "A", "B", central=("C", "D", "E"))
@@ -541,9 +579,9 @@ def test_budget_error_carries_its_facts():
     hsq = make_family("hsq")
     a, b = hsq.gen("A"), hsq.gen("B")
     # the memo reducer stops inside the push of B into A, the worklist at
-    # the word it would rewrite next
+    # the word it would rewrite next: the largest pending one
     leftmost, rightmost = _worklists(hsq)
-    for reduce, word in ((hsq.normal_form, "B*A"), (leftmost, "B*A*B^2*A^2"),
+    for reduce, word in ((hsq.normal_form, "B*A"), (leftmost, "B^2*A^4"),
                          (rightmost, "B^2*A^2*B*A")):
         with pytest.raises(BudgetExceededError) as info:
             reduce(b ** 3 * a ** 3, budget=2)
@@ -556,8 +594,13 @@ def test_budget_error_carries_its_facts():
     assert (info.value.budget, info.value.steps, info.value.word) == (1, 2, "B*A*B*A*C")
 
 
-# Rule applications to reduce (A+B)^n, per reducer, for n = 4, 5, ...
-WORKLIST_COUNTS = {"hsq": [49, 294, 1893, 13572], "weyl": [51, 248, 1131, 5049]}
+# Rule applications to reduce (A+B)^n, per reducer, for n = 4, 5, ...  The
+# worklists rewrite each word once; under hsq that is every word but the
+# n + 1 normal ones, 2^n - n - 1.
+WORKLIST_COUNTS = {
+    "leftmost": {"hsq": [11, 26, 57, 120], "weyl": [19, 50, 117, 258]},
+    "rightmost": {"hsq": [11, 26, 57, 120], "weyl": [20, 57, 143, 336]},
+}
 MEMO_COUNTS = {"hsq": [3, 4, 5, 6, 7], "weyl": [3, 4, 5, 6]}
 
 
@@ -569,7 +612,8 @@ def test_rule_application_counts():
     for family, system in systems:
         s = system.gen("A") + system.gen("B")
         leftmost, rightmost = _worklists(system)
-        for reduce, counts in ((leftmost, WORKLIST_COUNTS), (rightmost, WORKLIST_COUNTS),
+        for reduce, counts in ((leftmost, WORKLIST_COUNTS["leftmost"]),
+                               (rightmost, WORKLIST_COUNTS["rightmost"]),
                                (system.normal_form, MEMO_COUNTS)):
             for n, count in enumerate(counts[family], start=4):
                 p = s ** n

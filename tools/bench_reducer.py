@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Layer benchmark of the quotient reducer: ``power`` and ``normal_form``.
+"""Layer benchmark of the quotient reducer: ``power``, ``normal_form`` and
+the worklist oracle.
 
     python3 tools/bench_reducer.py parent=../parent/src change=src
 
@@ -7,16 +8,19 @@ Each ``LABEL=DIR`` argument names a directory that holds an ``ncbinom``
 package (default: ``change=src`` of this checkout).  Every copy is imported
 into this one interpreter, apart from the others.  For the hsq, weyl and
 commutative families the benchmark runs ``power(A+B, n)`` at n = 8, 32 and
-128 and ``normal_form((A+B)^n)`` at n = 8 and 12.  Each case runs 5 times
-per copy, the copies taking turns and alternating which goes first, so that
-a host that slows down for a while slows every copy alike.
+128 and ``normal_form((A+B)^n)`` at n = 8 and 12.  For hsq and weyl the
+``worklist`` op reduces ``(A+B)^n`` at n = 6 and 8 with the leftmost and
+the rightmost worklist oracle, one row per strategy.  Each case runs 5
+times per copy, the copies taking turns and alternating which goes first,
+so that a host that slows down for a while slows every copy alike.
 
 Each row holds the median and the least wall seconds of the 5 runs, the
 rule applications (the smallest ``budget=`` under which the call succeeds,
 found by bisection) and the number of terms out.  The rows go under their
 label into ``--out`` (default ``BENCH_reducer.json``); rows under other
 labels are kept.  Uses the standard library and the public API of
-``ncbinom`` only.
+``ncbinom``, plus one private name for the ``worklist`` op:
+``ncbinom.verify._worklist_normal_form``.
 """
 
 from __future__ import annotations
@@ -31,10 +35,13 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CASES = [(op, family, n)
+CASES = [(op, family, n, None)
          for family in ("hsq", "weyl", "commutative")
          for op, sizes in (("power", (8, 32, 128)), ("normal_form", (8, 12)))
          for n in sizes]
+CASES += [("worklist", family, n, strategy)
+          for family in ("hsq", "weyl") for n in (6, 8)
+          for strategy in ("leftmost", "rightmost")]
 REPEATS = 5
 
 
@@ -44,18 +51,24 @@ def load(src: str):
         del sys.modules[name]
     sys.path.insert(0, os.path.abspath(src))
     try:
-        return importlib.import_module("ncbinom")
+        package = importlib.import_module("ncbinom")
+        # the worklist op reads verify, so it loads with its own copy
+        importlib.import_module("ncbinom.verify")
+        return package
     finally:
         del sys.path[0]
 
 
-def case_call(package, op: str, family: str, n: int):
+def case_call(package, op: str, family: str, n: int, strategy: str | None):
     """``call(budget)`` running one case under ``package``."""
     system = package.make_family(family)
     s = system.gen("A") + system.gen("B")
     if op == "power":
         return lambda budget: system.power(s, n, budget)
     free = s ** n
+    if op == "worklist":
+        worklist = package.verify._worklist_normal_form
+        return lambda budget: worklist(system, free, strategy == "leftmost", budget)
     return lambda budget: system.normal_form(free, budget)
 
 
@@ -83,8 +96,9 @@ def smallest_budget(call, error) -> int:
 def rows(packages: dict) -> dict:
     """{label: [row per case]} for the packages under their labels."""
     table = {label: [] for label in packages}
-    for op, family, n in CASES:
-        calls = {label: case_call(package, op, family, n) for label, package in packages.items()}
+    for op, family, n, strategy in CASES:
+        calls = {label: case_call(package, op, family, n, strategy)
+                 for label, package in packages.items()}
         seconds = {label: [] for label in packages}
         results = {}
         for repeat in range(REPEATS):
@@ -96,6 +110,7 @@ def rows(packages: dict) -> dict:
         for label, package in packages.items():
             table[label].append({
                 "op": op, "family": family, "n": n,
+                **({"strategy": strategy} if strategy else {}),
                 "median_s": round(statistics.median(seconds[label]), 6),
                 "min_s": round(min(seconds[label]), 6),
                 "rule_applications": smallest_budget(calls[label],
@@ -127,7 +142,8 @@ def main(argv=None) -> int:
     for label, label_rows in rows(packages).items():
         table[label] = {**env, "rows": label_rows}
         for row in label_rows:
-            print(f"{label:8} {row['op']:11} {row['family']:11} n={row['n']:<4} "
+            op = "/".join(filter(None, (row["op"], row.get("strategy"))))
+            print(f"{label:8} {op:18} {row['family']:11} n={row['n']:<4} "
                   f"{row['median_s']:9.4f} s (min {row['min_s']:.4f})  "
                   f"{row['rule_applications']:6} rule apps  {row['terms_out']:5} terms")
     with open(args.out, "w", encoding="utf-8") as fh:
