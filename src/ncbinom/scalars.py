@@ -38,7 +38,10 @@ itself), and a factor of one term, on either side, maps each term of the
 other to one term (``DiffOp`` composes instead).  Neither needs
 ``_add_term``: the other key products (word concatenation, monomial
 product, degree sum) are cancellative, so distinct keys stay distinct, and
-Q[params] has no zero divisors, so no coefficient cancels.
+Q[params] has no zero divisors, so no coefficient cancels.  For the same
+reason the general product stores a new key directly and merges only a
+repeated one.  A difference adds the negated terms in one pass, and an
+operand of the same type and context skips ``_lift``.
 """
 
 from __future__ import annotations
@@ -204,9 +207,10 @@ class _Sparse:
         return self.terms == other.terms
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not type(self) or not self._same_context(other):
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             _add_term(terms, key, coeff)
@@ -218,10 +222,14 @@ class _Sparse:
         return self._new({key: -coeff for key, coeff in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not type(self) or not self._same_context(other):
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _add_term(terms, key, -coeff)
+        return self._new(terms)
 
     def __rsub__(self, other):
         other = self._lift(other)
@@ -246,7 +254,11 @@ class _Sparse:
         terms: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                _add_term(terms, key_mul(k1, k2), c1 * c2)
+                key = key_mul(k1, k2)
+                if key in terms:
+                    _add_term(terms, key, c1 * c2)
+                else:
+                    terms[key] = c1 * c2
         return self._new(terms)
 
     def _scale(self, value):
@@ -259,6 +271,8 @@ class _Sparse:
         return self._new({key: coeff * value for key, coeff in self.terms.items()})
 
     def __mul__(self, other):
+        if type(other) is type(self) and self._same_context(other):
+            return self._mul(other)
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
         other = self._lift(other)

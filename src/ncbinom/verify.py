@@ -188,12 +188,23 @@ def hermite_paths(n: int) -> tuple[list[Poly1], dict | None]:
 
 def random_ncpoly(rng: random.Random, algebra: Algebra,
                   max_degree: int = 3, max_terms: int = 4) -> NCPoly:
-    """A small random element: words up to max_degree, integer coefficients."""
+    """A small random element: words up to max_degree, integer coefficients.
+
+    Each value is one ``rng._randbelow(n)`` call, the call that ``randint``
+    and ``choice`` make, so the stream is theirs; a bad argument is refused
+    before any draw."""
     letters = [chr(g.index) for g in algebra.generators]
+    if not isinstance(max_terms, int) or max_terms < 1:
+        raise ValueError(f"max_terms must be an int of at least 1, got {max_terms!r}")
+    if not isinstance(max_degree, int) or max_degree < 0:
+        raise ValueError(f"max_degree must be a non-negative int, got {max_degree!r}")
+    if max_degree and not letters:
+        raise ValueError(f"max_degree {max_degree} needs generators; the algebra has none")
+    below, size = rng._randbelow, len(letters)
     terms: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
-        key = "".join([rng.choice(letters) for _ in range(rng.randint(0, max_degree))])
-        _add_term(terms, key, rng.choice(_RANDOM_COEFFS))
+    for _ in range(1 + below(max_terms)):
+        key = "".join([letters[below(size)] for _ in range(below(max_degree + 1))])
+        _add_term(terms, key, _RANDOM_COEFFS[below(len(_RANDOM_COEFFS))])
     return algebra._poly(terms)
 
 
@@ -270,17 +281,22 @@ def weyl_realization_check(n: int) -> bool:
 
 def _worklist_normal_form(system: RelationSystem, p: NCPoly, leftmost: bool,
                           budget: int = DEFAULT_BUDGET) -> NCPoly:
-    """The normal form by rewriting whole words, the leftmost or the
-    rightmost redex of each word per step: the oracle of ``normal_form``.
+    """The normal form by ``_worklist_reducer``, its table built for this call."""
+    return _worklist_reducer(system)(p, leftmost, budget)
 
-    The rule table is built here from ``system.rules``, so a fault in the
-    reducer's compiled table shows as a disagreement.  Equal pending words
-    merge, a word whose total cancels is dropped, and the largest pending
-    word in packed order is rewritten first.  The built-in and README rules
-    all yield earlier words, so there each word is rewritten once, after
-    every word that leads to it.  ``budget`` counts every rewrite.
+
+def _worklist_reducer(system: RelationSystem):
+    """``reduce(p, leftmost, budget)``, the normal form by rewriting whole
+    words, the leftmost or the rightmost redex of each word per step.
+
+    The rule table and the heap-key mirror are built once per reducer from
+    ``system.rules``, so a fault in the reducer's compiled table shows as a
+    disagreement.  Equal pending words merge, a word whose total cancels is
+    dropped, and the largest pending word in packed order is rewritten
+    first.  The built-in and README rules all yield earlier words, so there
+    each word is rewritten once, after every word that leads to it.
+    ``budget`` counts every rewrite.
     """
-    system._check_input(p)
     letter = {g.name: chr(g.index) for g in system.alphabet}
     rules = {(letter[later], letter[earlier]): replacement.canonical_terms()
              for (later, earlier), replacement in system.rules.items()}
@@ -292,42 +308,47 @@ def _worklist_normal_form(system: RelationSystem, p: NCPoly, leftmost: bool,
     # redex is normal, and so is the suffix after a rightmost one.
     size, central = len(letter), chr(system.n_central)
     mirror, end = {i: size - i for i in range(size)}, chr(size + 1)
-    acc, pending, heap, steps = {}, {}, [], 0
 
-    def push(word, coeff, start):
-        if word in pending:
-            return _add_term(pending, word, coeff)
-        # the leftmost redex at or after start, or the rightmost before it
-        if leftmost:
-            positions = range(start, len(word) - 1)
-        else:
-            positions = reversed(range(min(start, len(word) - 1)))
-        for i in positions:
-            if word[i] > word[i + 1]:
-                pending[word] = coeff
-                return heapq.heappush(heap, (word.translate(mirror) + end, word, i))
-        _add_term(acc, word, coeff)
+    def reduce(p: NCPoly, leftmost: bool, budget: int = DEFAULT_BUDGET) -> NCPoly:
+        system._check_input(p)
+        acc, pending, heap, steps = {}, {}, [], 0
 
-    for word, coeff in p.terms.items():
-        push(word, coeff, 0 if leftmost else len(word))
-    while heap:
-        _, word, i = heapq.heappop(heap)
-        if word not in pending:  # cancelled, or already rewritten
-            continue
-        coeff = pending.pop(word)
-        steps += 1
-        if steps > budget:
-            raise BudgetExceededError(budget, steps, system.algebra._poly({word: 1}).text())
-        left, right = word[:i], word[i + 2:]
-        x, y = word[i], word[i + 1]
-        if y < central:
-            # a central letter in a redex is always its y: a plain swap
-            rewritten = [(y + x, coeff)]
-        else:
-            rewritten = [(w, coeff * c) for w, c in rules[(x, y)]]
-        for rword, rcoeff in rewritten:
-            push(left + rword + right, rcoeff, max(i - 1, 0) if leftmost else i + len(rword))
-    return system.algebra._poly(acc)
+        def push(word, coeff, start):
+            if word in pending:
+                return _add_term(pending, word, coeff)
+            # the leftmost redex at or after start, or the rightmost before it
+            if leftmost:
+                positions = range(start, len(word) - 1)
+            else:
+                positions = reversed(range(min(start, len(word) - 1)))
+            for i in positions:
+                if word[i] > word[i + 1]:
+                    pending[word] = coeff
+                    return heapq.heappush(heap, (word.translate(mirror) + end, word, i))
+            _add_term(acc, word, coeff)
+
+        for word, coeff in p.terms.items():
+            push(word, coeff, 0 if leftmost else len(word))
+        while heap:
+            _, word, i = heapq.heappop(heap)
+            if word not in pending:  # cancelled, or already rewritten
+                continue
+            coeff = pending.pop(word)
+            steps += 1
+            if steps > budget:
+                raise BudgetExceededError(budget, steps, system.algebra._poly({word: 1}).text())
+            left, right = word[:i], word[i + 2:]
+            x, y = word[i], word[i + 1]
+            if y < central:
+                # a central letter in a redex is always its y: a plain swap
+                rewritten = [(y + x, coeff)]
+            else:
+                rewritten = [(w, coeff * c) for w, c in rules[(x, y)]]
+            for rword, rcoeff in rewritten:
+                push(left + rword + right, rcoeff, max(i - 1, 0) if leftmost else i + len(rword))
+        return system.algebra._poly(acc)
+
+    return reduce
 
 
 def strategy_agreement(family: str, cases: int = RANDOM_CASES,
@@ -339,11 +360,12 @@ def strategy_agreement(family: str, cases: int = RANDOM_CASES,
     """
     rng = random.Random(seed)
     system = make_family(family)
+    worklist = _worklist_reducer(system)
 
     def agree(p):
         memo = system.normal_form(p)
-        left = _worklist_normal_form(system, p, leftmost=True)
-        right = _worklist_normal_form(system, p, leftmost=False)
+        left = worklist(p, leftmost=True)
+        right = worklist(p, leftmost=False)
         if memo != left or left != right or system.normal_form(left) != left:
             return {"family": family, "input": p.to_json()}
         return None
@@ -652,17 +674,19 @@ def _suite_hermite(bound, seed: int) -> list[CheckResult]:
 
 
 def _random_diffop(rng: random.Random) -> DiffOp:
+    below = rng._randbelow  # one call per value, as in random_ncpoly
     terms = {}
-    for _ in range(rng.randint(1, 5)):
-        key = (rng.randint(0, 4), rng.randint(0, 4))
-        terms[key] = rng.choice([-3, -2, -1, 1, 2, 3])
+    for _ in range(1 + below(5)):
+        key = (below(5), below(5))
+        terms[key] = _RANDOM_COEFFS[below(len(_RANDOM_COEFFS))]
     return DiffOp(terms)
 
 
 def _random_poly1(rng: random.Random) -> Poly1:
+    below = rng._randbelow
     coeffs = {}
-    for _ in range(rng.randint(1, 4)):
-        coeffs[rng.randint(0, 6)] = rng.choice([-3, -1, 1, 2])
+    for _ in range(1 + below(4)):
+        coeffs[below(7)] = (-3, -1, 1, 2)[below(4)]
     return Poly1(coeffs)
 
 

@@ -282,3 +282,24 @@ def test_random_ncpoly_draws_the_reference_polynomials():
                     assert p == expected and list(p.terms) == list(expected.terms)
                     assert p.algebra is algebra
                 assert rng.getstate() == ref_rng.getstate()
+
+
+class _NoDraws(random.Random):
+    def _randbelow(self, n):
+        raise AssertionError(f"drew _randbelow({n}) before refusing")
+
+
+@pytest.mark.parametrize("algebra, kwargs, message", [
+    (ALG, {"max_terms": 0}, "max_terms must be an int of at least 1, got 0"),
+    (ALG, {"max_degree": -1}, "max_degree must be a non-negative int, got -1"),
+    (Algebra(), {"max_degree": 2}, "max_degree 2 needs generators; the algebra has none"),
+    (ALG, {"max_terms": 2.0}, "max_terms must be an int of at least 1, got 2.0"),
+    (ALG, {"max_degree": 2.0}, "max_degree must be a non-negative int, got 2.0"),
+], ids=["max_terms", "max_degree", "empty-alphabet", "float-max_terms", "float-max_degree"])
+def test_random_ncpoly_refuses_degenerate_draws(algebra, kwargs, message):
+    # _randbelow(0) never returns, so each refusal comes before any draw
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        random_ncpoly(_NoDraws(0), algebra, **kwargs)
+    # an empty alphabet still draws constants when no word has letters
+    constants = [random_ncpoly(random.Random(seed), Algebra(), max_degree=0) for seed in range(5)]
+    assert all(set(p.terms) <= {""} for p in constants) and any(constants)

@@ -18,7 +18,14 @@ from ncbinom.binomial import closed_form_hsq
 from ncbinom.diffop import DiffOp, Poly1
 from ncbinom.freealg import Algebra, NCPoly
 from ncbinom.rewrite import load_system, make_family
-from ncbinom.scalars import ParamPoly, UnboundParameterError, _unpack, binom, factorial
+from ncbinom.scalars import (
+    ContextMismatchError,
+    ParamPoly,
+    UnboundParameterError,
+    _unpack,
+    binom,
+    factorial,
+)
 from ncbinom.verify import _lambda_expansion
 
 
@@ -534,3 +541,59 @@ def test_one_term_products_match_the_double_loop(data):
         decoded = {decode(k): c for k, c in product.terms.items()}
         assert decoded == _double_loop(left, right, key_mul, decode), kind
         _assert_stored_bare(product)
+
+
+def _subtraction_loop(left, right, decode):
+    terms = {decode(k): c for k, c in left.terms.items()}
+    for k, c in right.terms.items():
+        terms[decode(k)] = terms.get(decode(k), 0) - c
+    return {key: coeff for key, coeff in terms.items() if coeff}
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_general_products_and_differences_match_the_loops(data):
+    # two terms or more on both sides: the general product, which stores a
+    # new key directly and merges a repeated one; q may share keys with p
+    kind = data.draw(st.sampled_from(sorted(_PRODUCT_KINDS)))
+    keys, coeffs, build, key_mul, decode = _PRODUCT_KINDS[kind]
+    raw = data.draw(st.dictionaries(keys, coeffs.filter(bool), min_size=2, max_size=5))
+    shared = st.one_of(keys, st.sampled_from(sorted(raw, key=repr)))
+    p = build(raw)
+    q = build(data.draw(st.dictionaries(shared, coeffs.filter(bool), min_size=2, max_size=5)))
+    assert len(p.terms) >= 2 and len(q.terms) >= 2
+    for left, right in ((p, q), (q, p), (p, p)):
+        product = left * right
+        decoded = {decode(k): c for k, c in product.terms.items()}
+        assert decoded == _double_loop(left, right, key_mul, decode), kind
+        _assert_stored_bare(product)
+        difference = left - right
+        decoded = {decode(k): c for k, c in difference.terms.items()}
+        assert decoded == _subtraction_loop(left, right, decode), kind
+        _assert_stored_bare(difference)
+    assert not (p - p).terms
+
+
+def test_repeated_product_keys_cancel_and_demote():
+    a, one, h = _ALG.gen("A"), _ALG.one(), ParamPoly.param("h")
+    key = _ALG.pack(_ALG.word("A"))
+    # the two A terms cancel, and the key is dropped
+    product = (1 + a) * (1 - a)
+    assert key not in product.terms
+    assert product == one - a * a and product.text() == "1 - A^2"
+    # (1 - h) + h: the coefficient of A is stored as the bare int 1
+    product = (1 + a) * ((1 - h) * a + h)
+    assert product.terms[key] == 1 and type(product.terms[key]) is int
+    assert product.text() == "h + A + (1 - h)*A^2"
+    _assert_stored_bare(product)
+
+
+def test_arithmetic_across_contexts_raises():
+    a, other = _ALG.gen("A") + 1, Algebra("A", "B").gen("A") + 1
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ContextMismatchError):
+            op(a, other)
+        with pytest.raises(ContextMismatchError):
+            op(other, a)
+    # an algebra built alike is the same context
+    assert a * (Algebra("A", "B", "C").gen("A") + 1) == a * a

@@ -31,6 +31,33 @@ def test_check_draws_no_further_than_the_first_counterexample(fail_at):
     assert rng.getstate() == reference.getstate()
 
 
+def _random_diffop_reference(rng):
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        key = (rng.randint(0, 4), rng.randint(0, 4))
+        terms[key] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return DiffOp(terms)
+
+
+def _random_poly1_reference(rng):
+    coeffs = {}
+    for _ in range(rng.randint(1, 4)):
+        coeffs[rng.randint(0, 6)] = rng.choice([-3, -1, 1, 2])
+    return Poly1(coeffs)
+
+
+def test_hermite_draws_follow_the_reference_stream():
+    # the compose-soundness draws, one _randbelow call per value
+    for seed in range(8):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(30):
+            for draw, reference in ((verify._random_diffop, _random_diffop_reference),
+                                    (verify._random_poly1, _random_poly1_reference)):
+                value, expected = draw(rng), reference(ref_rng)
+                assert value == expected and list(value.terms) == list(expected.terms)
+            assert rng.getstate() == ref_rng.getstate()
+
+
 def test_check_passes_after_every_case():
     cases = []
     result = verify._check("stub", "n <= 3", range(4), lambda n: cases.append(n))
@@ -62,10 +89,10 @@ FORCED_FAILURES = {
           "1865bc617fd48de7"),
          ("statements/jacobi", "500 random instances, degree <= 3", "e9dce933d3273544")]),
     "strategy-worklist": (
-        verify, "_worklist_normal_form",
-        lambda real: lambda system, p, leftmost: (
+        verify, "_worklist_reducer",
+        lambda real: lambda system: (lambda reduce: lambda p, leftmost: (
             p if not leftmost and sum(map(len, p.terms)) >= 18
-            else real(system, p, leftmost)),
+            else reduce(p, leftmost)))(real(system)),
         lambda: [verify.strategy_agreement(family) for family in ("commutative", "hsq", "weyl")],
         [("commutative-strategy-agreement", "500 random polynomials, degree <= 6",
           "239068a51441894d"),
